@@ -95,8 +95,8 @@ core::EstimateInterval naive_pair(const core::IntervalEstimator& interval,
               estimator.log_ratio_denominator(m_y);
   point.n_c_hat = std::max(0.0, point.raw);
   core::EstimateInterval out =
-      interval.annotate(point, static_cast<double>(x.counter()),
-                        static_cast<double>(y.counter()));
+      interval.annotate(point, static_cast<double>(small.counter()),
+                        static_cast<double>(large.counter()));
   out.degraded = out.degraded || point.saturated;
   return out;
 }
@@ -365,14 +365,11 @@ int main(int argc, char** argv) {
 
   // Estimator-health telemetry over the main fleet and its decoded
   // matrix: the synthetic states sit at load factor ~8, so this tracks
-  // the accuracy model's predicted relative error at the paper's
-  // operating point run to run.
-  obs::health::HealthOptions health_options;
-  health_options.s = 2;
+  // the intervals' predicted relative error at the paper's operating
+  // point run to run.
   obs::health::HealthSummary health_summary =
-      obs::health::assess_rsus(main_states, health_options);
-  obs::health::assess_pairs(main_states, blocked_parallel, health_options,
-                            health_summary);
+      obs::health::assess_rsus(main_states, obs::health::HealthOptions{});
+  obs::health::assess_pairs(blocked_parallel, health_summary);
 
   char pruned_json[768];
   std::snprintf(

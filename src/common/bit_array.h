@@ -161,10 +161,11 @@ struct BatchDecodeOptions {
   // classic GEMM blocking budget). Any positive value is correct — the
   // tiling never changes the counts, only the cache behavior.
   std::size_t tile_words = 0;
-  // Threads the tile range is spread over (0 = one per core, 1 = serial).
-  // Every worker accumulates into its own per-pair slots and the partials
-  // are summed in a fixed order, so the counts are bit-identical for any
-  // worker count and any tile size.
+  // Threads the sweep is spread over (0 = one per core, 1 = serial). The
+  // (anchor, tile) work list is cut into one contiguous run of equal
+  // kernel work per worker; an anchor split by a cut gets one partial
+  // per worker, summed in worker order. Integer partials are exact, so
+  // the counts are bit-identical for any worker count and tile size.
   unsigned workers = 1;
   // Kernel variant to run the tile sweeps on; nullptr = kernels::active().
   // The differential fuzz suite uses this to pin each compiled ISA.
@@ -187,12 +188,12 @@ struct BatchDecodeStats {
 // Batch decode: JointZeroCounts for EVERY unordered pair of `arrays`, in
 // upper-triangle row-major order ((0,1), (0,2), ..., (1,2), ...) — the
 // K-RSU form of joint_zero_counts, bit-identical to calling it per pair
-// but with O(K·m) DRAM traffic per tile sweep instead of O(K²·m): the
-// word range is partitioned into tiles, and each tile is combined with
-// every partner while it is cache-hot (per-pair OR+popcount partials land
-// in deterministic accumulator slots). Pairs whose smaller array is below
-// one word fall back to the per-pair kernel. Size-incompatibility throws
-// exactly as joint_zero_counts does, before any counting starts.
+// but with O(K·m) DRAM traffic per tile sweep instead of O(K²·m): each
+// anchor (the larger array of its pairs) is split into word tiles, and
+// each tile is combined with every partner while it is cache-hot. Pairs
+// whose smaller array is below one word fall back to the per-pair
+// kernel. Size-incompatibility throws exactly as joint_zero_counts does,
+// before any counting starts.
 std::vector<JointZeroCounts> joint_zero_counts_batch(
     std::span<const BitArray* const> arrays,
     const BatchDecodeOptions& options = {},
@@ -201,10 +202,11 @@ std::vector<JointZeroCounts> joint_zero_counts_batch(
 // Pair-list form: JointZeroCounts for exactly the given (first, second)
 // index pairs into `arrays`, in the order given — the sweep the pruned
 // decode mode runs over its survivor list. Each entry is computed
-// exactly as joint_zero_counts(*arrays[first], *arrays[second]); anchor
-// groups keep contiguous accumulator-slot runs and integer partials sum
-// in a fixed order, so any subset's counts are bit-identical to the
-// corresponding entries of the all-pairs call (which delegates here).
+// exactly as joint_zero_counts(*arrays[first], *arrays[second]) from
+// exact integer partials, so any subset's counts are bit-identical to
+// the corresponding entries of the all-pairs call (which delegates
+// here). Any pair order works; within an anchor, partners are swept in
+// list order.
 // Pairs may be empty; indices must be in range and distinct.
 std::vector<JointZeroCounts> joint_zero_counts_batch(
     std::span<const BitArray* const> arrays,

@@ -50,46 +50,32 @@ struct LogSecondMoments {
   double cov_ln_cx, cov_ln_cy, cov_ln_xy;
 };
 
-LogSecondMoments occupancy_moments(const PairScenario& sc, double q_x,
+LogSecondMoments occupancy_moments(const PairScenario& sc,
+                                   const SizeFactors& f, double q_x,
                                    double q_y, double q_c) {
-  const double A = 1.0 / static_cast<double>(sc.m_x);
-  const double B = 1.0 / static_cast<double>(sc.m_y);
-  const double w = 1.0 - 1.0 / static_cast<double>(sc.s);  // (s-1)/s
   const double mx = static_cast<double>(sc.m_x);
   const double my = static_cast<double>(sc.m_y);
   const double r = my / mx;  // bits of B_c sharing one B_x bit
-
-  const double lx1 = std::log1p(-A);
-  const double lx2 = std::log1p(-2.0 * A);
-  const double ly1 = std::log1p(-B);
-  const double ly2 = std::log1p(-2.0 * B);
-  // Per common vehicle, P[bit of B_c stays 0] = (1-A)(1 - wB): Eq. 6.
-  const double lc1 = lx1 + std::log1p(-w * B);
-  // Two B_c bits with distinct y-positions, same-slot protected:
-  // invs + (1-invs)(1-2B) = 1 - 2wB.
-  const double lprot2 = std::log1p(-2.0 * w * B);
+  const double lx1 = f.lx1;
+  const double lx2 = f.lx2;
+  const double ly1 = f.ly1;
+  const double ly2 = f.ly2;
 
   const ClassLogFactors marg_x{lx1, lx1, 0.0};
   const ClassLogFactors marg_y{ly1, 0.0, ly1};
-  const ClassLogFactors marg_c{lc1, lx1, ly1};
+  const ClassLogFactors marg_c{f.lc1, lx1, ly1};
 
   // Joint factor tables (see header comment for the derivations).
   const ClassLogFactors j_xx{lx2, lx2, 0.0};
   const ClassLogFactors j_yy{ly2, 0.0, ly2};
-  const ClassLogFactors j_cc_same{lx1 + lprot2, lx1, ly2};
-  const ClassLogFactors j_cc_diff{lx2 + lprot2, lx2, ly2};
-  const ClassLogFactors j_cx_off{lx2 + std::log1p(-w * B), lx2, ly1};
-  // Cov(C_i, Y_j), j != i. Same x-residue: identical to j_cc_same. Else
-  // the same-slot branch can still hit j with prob kappa = B/(1-A).
-  const double kappa = B / (1.0 - A);
-  const double invs = 1.0 - w;
-  const ClassLogFactors j_cy_diff{
-      lx1 + std::log1p(-(invs * kappa + 2.0 * w * B)), lx1, ly2};
+  const ClassLogFactors j_cc_same{lx1 + f.lprot2, lx1, ly2};
+  const ClassLogFactors j_cc_diff{lx2 + f.lprot2, lx2, ly2};
+  const ClassLogFactors j_cx_off{f.l_cx_off, lx2, ly1};
+  // Cov(C_i, Y_j), j != i. Same x-residue: identical to j_cc_same.
+  const ClassLogFactors j_cy_diff{f.l_cy_diff, lx1, ly2};
   // Cov(X_j, Y_i): only common vehicles couple the arrays.
-  const ClassLogFactors j_xy_same{std::log1p(-(A + w * B * (1.0 - A))), lx1,
-                                  ly1};
-  const ClassLogFactors j_xy_diff{std::log1p(-(A + B * (1.0 - w * A))), lx1,
-                                  ly1};
+  const ClassLogFactors j_xy_same{f.l_xy_same, lx1, ly1};
+  const ClassLogFactors j_xy_diff{f.l_xy_diff, lx1, ly1};
 
   auto corr = [&](const ClassLogFactors& joint, const ClassLogFactors& a,
                   const ClassLogFactors& b) {
@@ -115,35 +101,68 @@ LogSecondMoments occupancy_moments(const PairScenario& sc, double q_x,
   return out;
 }
 
+// (1 − 1/m)^n from ln(1 − 1/m): common::pow_one_minus's expression.
+double q_from_log(double n, double log_one_minus_inv_m) {
+  if (n == 0.0) return 1.0;
+  return std::exp(n * log_one_minus_inv_m);
+}
+
 }  // namespace
+
+SizeFactors::SizeFactors(std::uint32_t s_in, std::size_t m_x_in,
+                         std::size_t m_y_in)
+    : s(s_in), m_x(m_x_in), m_y(m_y_in) {
+  const double A = 1.0 / static_cast<double>(m_x);
+  const double B = 1.0 / static_cast<double>(m_y);
+  const double sd = static_cast<double>(s);
+  const double w = 1.0 - 1.0 / sd;  // (s-1)/s
+  lx1 = std::log1p(-A);
+  lx2 = std::log1p(-2.0 * A);
+  ly1 = std::log1p(-B);
+  ly2 = std::log1p(-2.0 * B);
+  // Per common vehicle, P[bit of B_c stays 0] = (1-A)(1 - wB): Eq. 6.
+  const double l_wb = std::log1p(-w * B);
+  lc1 = lx1 + l_wb;
+  // Two B_c bits with distinct y-positions, same-slot protected:
+  // invs + (1-invs)(1-2B) = 1 - 2wB.
+  lprot2 = std::log1p(-2.0 * w * B);
+  l_cx_off = lx2 + l_wb;
+  // Cov(C_i, Y_j) off the x-residue: the same-slot branch can still hit
+  // j with prob kappa = B/(1-A).
+  const double kappa = B / (1.0 - A);
+  const double invs = 1.0 - w;
+  l_cy_diff = lx1 + std::log1p(-(invs * kappa + 2.0 * w * B));
+  l_xy_same = std::log1p(-(A + w * B * (1.0 - A)));
+  l_xy_diff = std::log1p(-(A + B * (1.0 - w * A)));
+  // PairEstimator::log_ratio_denominator's expression, with
+  // ln(1 − 1/m_y) = ly1.
+  L = std::log1p(-((sd - 1.0) / (sd * static_cast<double>(m_y)))) - ly1;
+}
 
 double AccuracyModel::q_point(double n, std::size_t m) {
   return common::pow_one_minus(1.0 / static_cast<double>(m), n);
 }
 
-double AccuracyModel::log_ratio_denominator(std::uint32_t s, std::size_t m_y) {
-  const double my = static_cast<double>(m_y);
-  const double sd = static_cast<double>(s);
-  return common::log_one_minus((sd - 1.0) / (sd * my)) -
-         common::log_one_minus(1.0 / my);
-}
-
 double AccuracyModel::q_combined(const PairScenario& raw) {
-  const PairScenario sc = normalized(raw);
-  // Eq. 9: q(n_c) = q(n_x) q(n_y) * exp(n_c * L) with L the Eq. 5
-  // denominator (the log of the bracketed ratio).
-  const double L = log_ratio_denominator(sc.s, sc.m_y);
-  return q_point(sc.n_x, sc.m_x) * q_point(sc.n_y, sc.m_y) *
-         std::exp(sc.n_c * L);
+  return predict(raw, VarianceModel::kPaperBinomial).q_nc;
 }
 
 AccuracyPrediction AccuracyModel::predict(const PairScenario& raw,
                                           VarianceModel model) {
   const PairScenario sc = normalized(raw);
+  return predict(sc, SizeFactors(sc.s, sc.m_x, sc.m_y), model);
+}
+
+AccuracyPrediction AccuracyModel::predict(const PairScenario& raw,
+                                          const SizeFactors& f,
+                                          VarianceModel model) {
+  const PairScenario sc = normalized(raw);
+  VLM_REQUIRE(f.s == sc.s && f.m_x == sc.m_x && f.m_y == sc.m_y,
+              "size factors were built for another (s, m_x, m_y)");
   AccuracyPrediction out;
-  out.q_nx = q_point(sc.n_x, sc.m_x);
-  out.q_ny = q_point(sc.n_y, sc.m_y);
-  const double L = log_ratio_denominator(sc.s, sc.m_y);
+  out.q_nx = q_from_log(sc.n_x, f.lx1);
+  out.q_ny = q_from_log(sc.n_y, f.ly1);
+  const double L = f.L;
   out.q_nc = out.q_nx * out.q_ny * std::exp(sc.n_c * L);
 
   const double mx = static_cast<double>(sc.m_x);
@@ -167,7 +186,7 @@ AccuracyPrediction AccuracyModel::predict(const PairScenario& raw,
     delta_diff = delta_c - delta_x - delta_y;
   } else {
     const LogSecondMoments m2 =
-        occupancy_moments(sc, out.q_nx, out.q_ny, out.q_nc);
+        occupancy_moments(sc, f, out.q_nx, out.q_ny, out.q_nc);
     var_n = m2.var_ln_c + m2.var_ln_x + m2.var_ln_y - 2.0 * m2.cov_ln_cx -
             2.0 * m2.cov_ln_cy + 2.0 * m2.cov_ln_xy;
     delta_diff =

@@ -48,6 +48,29 @@ struct AccuracyPrediction {
   double stddev_ratio = 0.0;       // Eq. 36: StdDev[n̂_c/n_c]
 };
 
+// Every term of the model and of Eq. 5 that depends only on the array
+// sizes and s: the occupancy log factors, ln(1 − 1/m) of each array
+// (what q(n) = (1 − 1/m)^n exponentiates), and the Eq. 5 denominator L.
+// A K-RSU decode has at most ~log²(m) distinct size pairs, so it builds
+// one of these per size pair instead of re-deriving ~16 logs per pair.
+// Pure arithmetic, no validation: the consumers validate their inputs.
+struct SizeFactors {
+  SizeFactors(std::uint32_t s, std::size_t m_x, std::size_t m_y);
+
+  std::uint32_t s;
+  std::size_t m_x;  // smaller array
+  std::size_t m_y;  // larger array
+  double lx1, lx2;  // ln(1 − A), ln(1 − 2A) with A = 1/m_x
+  double ly1, ly2;  // ln(1 − B), ln(1 − 2B) with B = 1/m_y
+  double lc1;       // ln P[one common vehicle leaves a B_c bit 0] (Eq. 6)
+  double lprot2;    // ln(1 − 2wB), w = (s − 1)/s
+  double l_cx_off;  // common-class factor of the Cov(C_i, X_j) joint
+  double l_cy_diff;  // common-class factor of the Cov(C_i, Y_j) joint
+  double l_xy_same;  // common-class factors of the Cov(X_j, Y_i) joints
+  double l_xy_diff;
+  double L;  // Eq. 5 denominator: ln(1 − (s−1)/(s·m_y)) − ln(1 − 1/m_y)
+};
+
 class AccuracyModel {
  public:
   // Validates the scenario (array sizes powers of two with m_x | m_y,
@@ -58,11 +81,16 @@ class AccuracyModel {
       const PairScenario& scenario,
       VarianceModel model = VarianceModel::kOccupancyExact);
 
+  // Same, with the size-only terms already built for the scenario's
+  // (s, m_x, m_y) after the swap above; throws if they were built for
+  // another size pair. Bit-identical to the overload above.
+  static AccuracyPrediction predict(const PairScenario& scenario,
+                                    const SizeFactors& factors,
+                                    VarianceModel model);
+
   // Individual pieces, exposed for tests and for the privacy model.
   static double q_point(double n, std::size_t m);  // (1 − 1/m)^n
   static double q_combined(const PairScenario& s);  // Eq. 9
-  // ln(1 − (s−1)/(s·m_y)) − ln(1 − 1/m_y): the Eq. 5 denominator.
-  static double log_ratio_denominator(std::uint32_t s, std::size_t m_y);
 };
 
 }  // namespace vlm::core

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "common/bit_array.h"
 #include "common/env_override.h"
@@ -329,8 +328,28 @@ OdMatrix estimate_od_matrix(std::span<const RsuState> states, std::uint32_t s,
                         ? OdMatrix::for_survivors(k, pairs)
                         : OdMatrix(k);
 
-  std::vector<std::size_t> words_per_pair(pairs.size(), 0);
-  std::vector<std::uint8_t> pair_saturated(pairs.size(), 0);
+  // Runs estimate_pair(p, point) -> cell over the pair list, tallying
+  // words scanned and saturated pairs per slice: integer sums, so the
+  // totals are the same for every worker count.
+  struct SliceTally {
+    std::size_t words = 0;
+    std::size_t saturated = 0;
+  };
+  std::vector<SliceTally> tallies(used);
+  auto estimate_cells = [&](const auto& estimate_pair) {
+    common::parallel_slices(
+        pairs.size(), used,
+        [&](unsigned slice, std::size_t begin, std::size_t end) {
+          SliceTally& tally = tallies[slice];
+          for (std::size_t p = begin; p < end; ++p) {
+            PairEstimate point;
+            matrix.cell(pairs[p].first, pairs[p].second) =
+                estimate_pair(p, point);
+            tally.words += point.words_scanned;
+            tally.saturated += point.saturated ? 1 : 0;
+          }
+        });
+  };
   common::BatchDecodeStats batch_stats;
   double sweep_seconds = 0.0;
   double estimate_seconds = 0.0;
@@ -355,36 +374,52 @@ OdMatrix estimate_od_matrix(std::span<const RsuState> states, std::uint32_t s,
       sweep_seconds = sweep_span.finish();
     }
     obs::Span estimate_span(metrics.estimate);
-    common::parallel_for(pairs.size(), used, [&](std::size_t p) {
+    // The size-only model terms, once per distinct (smaller, larger)
+    // array-size pair — at most ~log²(m) of them — instead of once per
+    // pair. sizes[rank[i]] is state i's array size.
+    std::vector<std::size_t> sizes;
+    sizes.reserve(k);
+    for (const RsuState& state : states) sizes.push_back(state.array_size());
+    std::sort(sizes.begin(), sizes.end());
+    sizes.erase(std::unique(sizes.begin(), sizes.end()), sizes.end());
+    std::vector<std::size_t> rank(k);
+    for (std::size_t i = 0; i < k; ++i) {
+      rank[i] = static_cast<std::size_t>(
+          std::lower_bound(sizes.begin(), sizes.end(), states[i].array_size()) -
+          sizes.begin());
+    }
+    std::vector<SizeFactors> factors;
+    factors.reserve(sizes.size() * sizes.size());
+    for (const std::size_t m_small : sizes) {
+      for (const std::size_t m_large : sizes) {
+        factors.emplace_back(s, m_small, m_large);
+      }
+    }
+    estimate_cells([&](std::size_t p, PairEstimate& point) {
       const auto [a, b] = pairs[p];
-      PairEstimate point;
-      matrix.cell(a, b) = estimator.from_counts(
-          counts[p], static_cast<double>(states[a].counter()),
-          static_cast<double>(states[b].counter()), &point);
-      words_per_pair[p] = point.words_scanned;
-      pair_saturated[p] = point.saturated ? 1 : 0;
+      const std::size_t lo = std::min(rank[a], rank[b]);
+      const std::size_t hi = std::max(rank[a], rank[b]);
+      return estimator.from_counts(counts[p], states[a], states[b],
+                                   factors[lo * sizes.size() + hi], &point);
     });
     estimate_seconds = estimate_span.finish();
   } else {
     obs::Span estimate_span(metrics.estimate);
-    common::parallel_for(pairs.size(), used, [&](std::size_t p) {
-      const auto [a, b] = pairs[p];
-      PairEstimate point;
-      matrix.cell(a, b) = estimator.estimate(states[a], states[b], &point);
-      words_per_pair[p] = point.words_scanned;
-      pair_saturated[p] = point.saturated ? 1 : 0;
+    estimate_cells([&](std::size_t p, PairEstimate& point) {
+      return estimator.estimate(states[pairs[p].first], states[pairs[p].second],
+                                &point);
     });
     estimate_seconds = estimate_span.finish();
   }
 
   // Registry and struct are fed from the same values: DecodeStats is the
   // per-run view of what this call just added to the global counters.
-  const std::size_t words_scanned =
-      prune_words + std::accumulate(words_per_pair.begin(),
-                                    words_per_pair.end(), std::size_t{0});
-  const std::size_t pairs_saturated = static_cast<std::size_t>(
-      std::accumulate(pair_saturated.begin(), pair_saturated.end(),
-                      std::size_t{0}));
+  std::size_t words_scanned = prune_words;
+  std::size_t pairs_saturated = 0;
+  for (const SliceTally& tally : tallies) {
+    words_scanned += tally.words;
+    pairs_saturated += tally.saturated;
+  }
   metrics.runs.inc();
   metrics.pairs.add(pairs.size());
   metrics.words_scanned.add(words_scanned);

@@ -9,7 +9,8 @@
 //     decode — the word range is tiled, and each cache-hot tile is
 //     combined with every partner before moving on, cutting DRAM traffic
 //     to O(K m_max / 64) per tile sweep. The arithmetic is the same
-//     integer popcounts landing in deterministic accumulator slots, so
+//     exact integer popcounts, and the Eq. 5 / interval math reads the
+//     same size-only terms (one SizeFactors per distinct size pair), so
 //     the result is bit-identical to the pairwise path for every worker
 //     count and tile size (tests and a differential fuzz suite assert
 //     this).
@@ -159,6 +160,17 @@ class OdMatrix {
   // Whether the survivor set is held in CSR storage (pruned decodes
   // below the density threshold) instead of the dense upper triangle.
   bool sparse() const { return !row_offsets_.empty(); }
+
+  // Calls visit(cell) for every measured pair's cell, in row-major pair
+  // order — O(measured pairs) on sparse storage, no per-cell lookup.
+  template <typename Visit>
+  void for_each_measured(Visit&& visit) const {
+    // Sparse storage holds exactly the measured cells; the dense layouts
+    // hold the whole triangle, flagged when pruned.
+    for (std::size_t i = 0; i < cells_.size(); ++i) {
+      if (measured_.empty() || measured_[i] != 0) visit(cells_[i]);
+    }
+  }
 
   // Sum of all pairwise point estimates (an aggregate mobility index).
   // Skipped pairs contribute their pruned-to-zero estimate.

@@ -4,9 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
-#include <stdexcept>
 
-#include "core/accuracy_model.h"
 #include "obs/metrics.h"
 
 namespace vlm::obs::health {
@@ -126,52 +124,28 @@ HealthSummary assess_rsus(std::span<const core::RsuState* const> states,
   return summary;
 }
 
-void assess_pairs(std::span<const core::RsuState> states,
-                  const core::OdMatrix& matrix, const HealthOptions& options,
-                  HealthSummary& summary) {
+void assess_pairs(const core::OdMatrix& matrix, HealthSummary& summary) {
   PairGroup& metrics = pair_group();
-  const std::size_t k = matrix.rsu_count();
   double rel_err_sum = 0.0;
-  for (std::size_t a = 0; a + 1 < k; ++a) {
-    for (std::size_t b = a + 1; b < k; ++b) {
-      if (!matrix.measured(a, b)) continue;
-      const core::EstimateInterval& cell = matrix.at(a, b);
-      const double n_x = static_cast<double>(states[a].counter());
-      const double n_y = static_cast<double>(states[b].counter());
-      const double n_min = std::min(n_x, n_y);
-      if (cell.degraded || cell.n_c_hat <= 0.0 || n_min <= 0.0) {
-        ++summary.pairs_degraded;
-        continue;
-      }
-      core::PairScenario scenario;
-      scenario.n_x = n_x;
-      scenario.n_y = n_y;
-      // The raw MLE can exceed min(n_x, n_y) by sampling noise; the
-      // model's domain requires n_c <= min, so evaluate at the boundary.
-      scenario.n_c = std::min(cell.n_c_hat, n_min);
-      scenario.m_x = states[a].array_size();
-      scenario.m_y = states[b].array_size();
-      scenario.s = options.s;
-      double rel_err = 0.0;
-      try {
-        rel_err = core::AccuracyModel::predict(
-                      scenario, core::VarianceModel::kPaperBinomial)
-                      .stddev_ratio;
-      } catch (const std::invalid_argument&) {
-        ++summary.pairs_degraded;
-        continue;
-      }
-      if (!std::isfinite(rel_err)) {
-        ++summary.pairs_degraded;
-        continue;
-      }
-      ++summary.pairs_assessed;
-      rel_err_sum += rel_err;
-      summary.max_predicted_rel_err =
-          std::max(summary.max_predicted_rel_err, rel_err);
-      metrics.predicted_rel_err.observe(to_micro(rel_err));
+  matrix.for_each_measured([&](const core::EstimateInterval& cell) {
+    // A non-degraded cell's stddev is the occupancy-exact model
+    // evaluated at n̂_c itself (no clamping), so the ratio is exactly the
+    // interval's own relative error.
+    if (cell.degraded || !(cell.n_c_hat > 0.0)) {
+      ++summary.pairs_degraded;
+      return;
     }
-  }
+    const double rel_err = cell.stddev / cell.n_c_hat;
+    if (!std::isfinite(rel_err)) {
+      ++summary.pairs_degraded;
+      return;
+    }
+    ++summary.pairs_assessed;
+    rel_err_sum += rel_err;
+    summary.max_predicted_rel_err =
+        std::max(summary.max_predicted_rel_err, rel_err);
+    metrics.predicted_rel_err.observe(to_micro(rel_err));
+  });
   summary.mean_predicted_rel_err =
       summary.pairs_assessed > 0
           ? rel_err_sum / static_cast<double>(summary.pairs_assessed)

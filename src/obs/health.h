@@ -9,9 +9,10 @@
 // (m = 2^ceil(log2(n̄·f̄)), src/core/sizing.*) operates outside the
 // regime the paper's Section V accuracy model was budgeted for. This
 // module evaluates both conditions at every period close and decode,
-// plus the accuracy model's predicted relative error per decoded pair
-// (Eq. 34 variance / Eq. 36 stddev ratio), and publishes them as
-// health/* metrics through the standard exporters:
+// plus the predicted relative error per decoded pair (the cell's
+// occupancy-exact stddev / n̂_c, the Eq. 36 ratio under the corrected
+// variance model), and publishes them as health/* metrics through the
+// standard exporters:
 //
 //   health/rsu_saturated        counter  RSU-periods with fill above
 //                                        the saturation threshold
@@ -24,18 +25,19 @@
 //   health/predicted_rel_err    histogram (micro) per-pair predicted
 //                                        relative error (decode only)
 //   health/predicted_rel_err_max gauge   worst predicted pair rel err
-//   health/pairs_assessed       counter  pairs run through the model
-//   health/pairs_degraded       counter  pairs skipped: saturated /
-//                                        zero-volume / model rejected
+//   health/pairs_assessed       counter  measured pairs with a usable
+//                                        interval
+//   health/pairs_degraded       counter  measured pairs skipped:
+//                                        degraded / zero estimate
 //
 // The period-close metrics and the decode metrics register lazily as
 // two independent groups: a simulate run that never decodes exports no
 // decode-only histograms (every exported histogram must have observations
 // — CI's span smoke asserts count > 0 across the board).
 //
-// Layering: this sits ABOVE vlm_core (it evaluates core::AccuracyModel
-// against live core::RsuState), so it is its own library target
-// (vlm_obs_health) rather than part of layer-free vlm_obs.
+// Layering: this sits ABOVE vlm_core (it reads core::RsuState and
+// core::OdMatrix), so it is its own library target (vlm_obs_health)
+// rather than part of layer-free vlm_obs.
 #pragma once
 
 #include <cstddef>
@@ -64,8 +66,6 @@ struct HealthOptions {
   // 2× above target; the default band only fires on genuine demand
   // surprises, not rounding.
   double load_factor_drift_tolerance = 2.0;
-  // Logical bit-array size s for the accuracy model (VlmScheme's s).
-  std::uint32_t s = 64;
 };
 
 // One RSU's period-close verdict.
@@ -109,14 +109,14 @@ HealthSummary assess_rsus(std::span<const core::RsuState* const> states,
                           std::vector<RsuHealth>* out_per_rsu = nullptr);
 
 // Per-pair predicted relative error: for every measured pair of the
-// decoded matrix, evaluates the paper's Section V model
-// (VarianceModel::kPaperBinomial, Eq. 34/36) at the estimated overlap
-// and publishes the decode metric group. Pairs whose estimate is
-// degraded, zero, or outside the model's domain count as degraded and
-// are skipped. Extends `summary` in place.
-void assess_pairs(std::span<const core::RsuState> states,
-                  const core::OdMatrix& matrix, const HealthOptions& options,
-                  HealthSummary& summary);
+// decoded matrix, reads stddev / n̂_c off the cell — the occupancy-exact
+// model the interval itself was built from, so health and intervals
+// share one variance model — and publishes the decode metric group.
+// Walks only measured cells. Degraded cells, zero estimates and
+// non-finite ratios count as degraded and are skipped, so
+// pairs_assessed + pairs_degraded grows by matrix.measured_pairs().
+// Extends `summary` in place.
+void assess_pairs(const core::OdMatrix& matrix, HealthSummary& summary);
 
 // One-line summary for the CLI stats output, e.g.
 //   "health             rsus 16  saturated 3  drifted 0  max_fill 0.993"

@@ -194,12 +194,11 @@ core::OdMatrix CentralServer::estimate_matrix(double z) const {
   core::OdMatrix matrix = core::estimate_od_matrix(
       states, scheme_->s(), z, decode_workers_, &stats_.decode);
   // Decode-time estimator health: saturation/drift over the decoded
-  // states plus the Section V predicted relative error per measured pair.
+  // states plus each measured cell's predicted relative error.
   obs::health::HealthOptions health_options;
   health_options.target_load_factor = scheme_->target_load_factor();
-  health_options.s = scheme_->s();
   stats_.health = obs::health::assess_rsus(states, health_options);
-  obs::health::assess_pairs(states, matrix, health_options, stats_.health);
+  obs::health::assess_pairs(matrix, stats_.health);
   return matrix;
 }
 

@@ -461,7 +461,6 @@ void VcpsSimulation::end_period() {
   // and load-factor drift over the fleet's just-reported states.
   obs::health::HealthOptions health_options;
   health_options.target_load_factor = scheme().target_load_factor();
-  health_options.s = scheme().s();
   std::vector<const core::RsuState*> states;
   states.reserve(rsus_.size());
   for (const Rsu& rsu : rsus_) states.push_back(&rsu.state());

@@ -41,6 +41,9 @@ TEST_P(IntervalCoverage, NominalCoverageAcrossScenarios) {
   Encoder enc(EncoderConfig{});
   IntervalEstimator est(2, 1.96);
   int covered = 0;
+  double sum = 0.0;
+  double sum_sq = 0.0;
+  double predicted_sd = 0.0;
   constexpr int kTrials = 60;
   for (int t = 0; t < kTrials; ++t) {
     const auto states =
@@ -48,10 +51,21 @@ TEST_P(IntervalCoverage, NominalCoverageAcrossScenarios) {
                       81'000 + static_cast<std::uint64_t>(t));
     const EstimateInterval e = est.estimate(states.x, states.y);
     if (e.lower <= double(c.n_c) && double(c.n_c) <= e.upper) ++covered;
+    sum += e.n_c_hat;
+    sum_sq += e.n_c_hat * e.n_c_hat;
+    predicted_sd += e.stddev / kTrials;
   }
   // 95% nominal; tolerate down to 80% (interval evaluated at the
   // ESTIMATED n_c, plus binomial noise over 60 trials).
   EXPECT_GE(covered, 48) << covered << "/" << kTrials << " covered";
+  // Honest width, not just coverage: an interval far wider than the
+  // estimator's spread also covers. The sample sd of 60 trials is good
+  // to ~10%, so a factor of two either way is a generous band.
+  const double mean = sum / kTrials;
+  const double empirical_sd =
+      std::sqrt((sum_sq - kTrials * mean * mean) / (kTrials - 1));
+  EXPECT_GT(predicted_sd, 0.5 * empirical_sd);
+  EXPECT_LT(predicted_sd, 2.0 * empirical_sd);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -59,7 +73,34 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(CoverageCase{10'000, 10'000, 2'000, 1 << 17, 1 << 17},
                       CoverageCase{10'000, 50'000, 1'000, 1 << 17, 1 << 19},
                       CoverageCase{5'000, 100'000, 500, 1 << 16, 1 << 20},
-                      CoverageCase{20'000, 20'000, 10'000, 1 << 18, 1 << 18}));
+                      CoverageCase{20'000, 20'000, 10'000, 1 << 18, 1 << 18},
+                      // The larger array as the first operand.
+                      CoverageCase{40'000, 3'000, 1'500, 1 << 16, 1 << 12}));
+
+TEST(IntervalEstimator, OperandOrderDoesNotMatterForUnequalSizes) {
+  Encoder enc(EncoderConfig{});
+  IntervalEstimator est(2);
+  const auto states =
+      simulate_pair(enc, PairWorkload{3'000, 40'000, 1'500}, 1 << 12, 1 << 16,
+                    17);
+  PairEstimate point_xy;
+  PairEstimate point_yx;
+  const EstimateInterval xy = est.estimate(states.x, states.y, &point_xy);
+  const EstimateInterval yx = est.estimate(states.y, states.x, &point_yx);
+  EXPECT_EQ(point_xy.raw, point_yx.raw);
+  EXPECT_EQ(xy.n_c_hat, yx.n_c_hat);
+  EXPECT_EQ(xy.stddev, yx.stddev);
+  EXPECT_EQ(xy.lower, yx.lower);
+  EXPECT_EQ(xy.upper, yx.upper);
+  EXPECT_EQ(xy.floor_stddev, yx.floor_stddev);
+  EXPECT_EQ(xy.degraded, yx.degraded);
+  // The interval is the smaller-array-first one: annotate with the
+  // counters in size order.
+  const EstimateInterval annotated =
+      est.annotate(point_xy, static_cast<double>(states.x.counter()),
+                   static_cast<double>(states.y.counter()));
+  EXPECT_EQ(xy.stddev, annotated.stddev);
+}
 
 TEST(IntervalEstimator, IntervalShapeIsSane) {
   Encoder enc(EncoderConfig{});

@@ -1,14 +1,19 @@
 // Estimator-health telemetry: a synthetic over-saturated RSU (n >> m)
 // must trip the saturation flag and the health/rsu_saturated counter, a
 // fleet off its sizing plan must trip the drift flag, and a decoded
-// matrix must yield a nonzero predicted-relative-error gauge through
-// the paper's Section V accuracy model.
+// matrix must yield a nonzero predicted-relative-error gauge read off
+// its cells' intervals.
 #include "obs/health.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdlib>
 #include <span>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/hashing.h"
@@ -129,11 +134,9 @@ TEST(HealthTest, DecodedPairsYieldNonzeroPredictedRelErr) {
   ASSERT_TRUE(matrix.measured(0, 1));
   ASSERT_GT(matrix.at(0, 1).n_c_hat, 0.0);
 
-  HealthOptions options;
-  options.s = 2;
   HealthSummary summary =
-      assess_rsus(std::span<const core::RsuState>(states), options);
-  assess_pairs(states, matrix, options, summary);
+      assess_rsus(std::span<const core::RsuState>(states), HealthOptions{});
+  assess_pairs(matrix, summary);
 
   EXPECT_EQ(summary.pairs_assessed, 1u);
   EXPECT_EQ(summary.pairs_degraded, 0u);
@@ -142,6 +145,103 @@ TEST(HealthTest, DecodedPairsYieldNonzeroPredictedRelErr) {
   EXPECT_GT(
       MetricsRegistry::global().gauge("health/predicted_rel_err_max").value(),
       0.0);
+}
+
+// Runs assess_pairs on `matrix` and checks that its observations are
+// exactly stddev / n̂_c of the measured, non-degraded cells: the
+// histogram gains one observation per such cell with the same micro-unit
+// total, the max and mean match, and every measured cell is counted
+// once as assessed or degraded.
+void expect_rel_err_read_off_cells(const core::OdMatrix& matrix) {
+  Histogram& hist = MetricsRegistry::global().histogram(
+      "health/predicted_rel_err", Unit::kMicro);
+  const HistogramSummary before = hist.summary();
+  HealthSummary summary;
+  assess_pairs(matrix, summary);
+  const HistogramSummary after = hist.summary();
+
+  std::size_t cells = 0;
+  std::size_t usable = 0;
+  double micro_total = 0.0;
+  double sum = 0.0;
+  double max = 0.0;
+  for (std::size_t a = 0; a < matrix.rsu_count(); ++a) {
+    for (std::size_t b = a + 1; b < matrix.rsu_count(); ++b) {
+      if (!matrix.measured(a, b)) continue;
+      ++cells;
+      const core::EstimateInterval& cell = matrix.at(a, b);
+      if (cell.degraded || cell.n_c_hat <= 0.0) continue;
+      const double rel_err = cell.stddev / cell.n_c_hat;
+      ++usable;
+      sum += rel_err;
+      max = std::max(max, rel_err);
+      micro_total += static_cast<double>(std::llround(rel_err * 1e6));
+    }
+  }
+  EXPECT_EQ(cells, matrix.measured_pairs());
+  EXPECT_EQ(summary.pairs_assessed + summary.pairs_degraded,
+            matrix.measured_pairs());
+  EXPECT_EQ(summary.pairs_assessed, usable);
+  EXPECT_GT(usable, 0u);
+  EXPECT_EQ(after.count - before.count, usable);
+  EXPECT_NEAR((after.total - before.total) * 1e6, micro_total, 0.5);
+  EXPECT_EQ(summary.max_predicted_rel_err, max);
+  EXPECT_DOUBLE_EQ(summary.mean_predicted_rel_err,
+                   sum / static_cast<double>(usable));
+}
+
+TEST(HealthTest, PredictedRelErrIsReadOffDenseCells) {
+  // Mixed array sizes, with the larger array both first and second in
+  // row order, plus one idle RSU whose pairs are degraded.
+  std::uint64_t h = 0xA11CE;
+  std::vector<std::size_t> shared;
+  for (int i = 0; i < 300; ++i) {
+    shared.push_back(static_cast<std::size_t>(common::mix64(++h) % 1024));
+  }
+  std::vector<core::RsuState> states;
+  states.push_back(make_state(4096, 600, shared, h));
+  states.push_back(make_state(1024, 150, shared, h));
+  states.push_back(make_state(2048, 300, shared, h));
+  states.push_back(make_state(1024, 0, {}, h));
+  const core::OdMatrix matrix =
+      core::estimate_od_matrix(states, 2, 1.96, {}, nullptr);
+  if (std::getenv("VLM_DECODE") == nullptr) {
+    ASSERT_FALSE(matrix.sparse());
+    ASSERT_EQ(matrix.measured_pairs(), 6u);
+  }
+  expect_rel_err_read_off_cells(matrix);
+}
+
+TEST(HealthTest, PredictedRelErrIsReadOffSparseCells) {
+  // Ten RSUs, two shared roads, everything else disjoint: the pruned
+  // decode keeps only the roads (CSR storage) unless VLM_DECODE pins
+  // another path, which the check must survive too.
+  constexpr std::size_t kM = 1 << 13;
+  std::uint64_t h = 0x5BA25E;
+  std::vector<core::RsuState> states;
+  for (std::size_t r = 0; r < 10; ++r) {
+    states.push_back(make_state(kM, kM / 8, {}, h));
+  }
+  const std::pair<std::size_t, std::size_t> roads[] = {{0, 7}, {3, 4}};
+  for (const auto& [a, b] : roads) {
+    for (std::size_t i = 0; i < kM / 8; ++i) {
+      const auto index = static_cast<std::size_t>(common::mix64(++h) % kM);
+      states[a].record(index);
+      states[b].record(index);
+    }
+  }
+  core::DecodeOptions options;
+  options.mode = core::DecodeMode::kPruned;
+  options.prune.sample_stride = 2;
+  options.prune.min_volume = 700.0;
+  const core::OdMatrix matrix =
+      core::estimate_od_matrix(states, 2, 1.96, options, nullptr);
+  const char* pin = std::getenv("VLM_DECODE");
+  if (pin == nullptr || std::string_view(pin) == "pruned") {
+    ASSERT_TRUE(matrix.sparse());
+    EXPECT_LT(matrix.measured_pairs(), 45u);
+  }
+  expect_rel_err_read_off_cells(matrix);
 }
 
 TEST(HealthTest, SaturatedPairCountsAsDegraded) {
@@ -155,11 +255,9 @@ TEST(HealthTest, SaturatedPairCountsAsDegraded) {
 
   const core::OdMatrix matrix =
       core::estimate_od_matrix(states, 2, 1.96, {}, nullptr);
-  HealthOptions options;
-  options.s = 2;
   HealthSummary summary =
-      assess_rsus(std::span<const core::RsuState>(states), options);
-  assess_pairs(states, matrix, options, summary);
+      assess_rsus(std::span<const core::RsuState>(states), HealthOptions{});
+  assess_pairs(matrix, summary);
 
   EXPECT_EQ(summary.rsus_saturated, 2u);
   EXPECT_EQ(summary.pairs_assessed, 0u);

@@ -170,13 +170,12 @@ int main(int argc, char** argv) {
     // archives do not carry the deployment's sizing plan, so the drift
     // check stays off (target_load_factor 0); saturation and fill still
     // publish through health/*.
-    obs::health::HealthOptions health_options;
-    health_options.s = s;
     std::vector<const core::RsuState*> state_ptrs;
     state_ptrs.reserve(rsus.size());
     for (const LoadedReport& r : rsus) state_ptrs.push_back(&r.state);
     obs::health::HealthSummary health_summary = obs::health::assess_rsus(
-        std::span<const core::RsuState* const>(state_ptrs), health_options);
+        std::span<const core::RsuState* const>(state_ptrs),
+        obs::health::HealthOptions{});
 
     if (!parser.get_string("pair").empty()) {
       std::uint64_t a = 0, b = 0;
@@ -244,7 +243,7 @@ int main(int argc, char** argv) {
       core::DecodeStats decode_stats;
       const core::OdMatrix matrix =
           core::estimate_od_matrix(states, s, z, decode_options, &decode_stats);
-      obs::health::assess_pairs(states, matrix, health_options, health_summary);
+      obs::health::assess_pairs(matrix, health_summary);
       struct Flow {
         std::size_t a, b;
         double estimate;
