@@ -68,6 +68,27 @@ TEST(PairEstimator, SymmetricInArguments) {
   EXPECT_EQ(a.m_y, b.m_y);
 }
 
+TEST(PairEstimator, SizeFactorsOverloadMatchesAndValidates) {
+  RsuState small(64), big(256);
+  for (std::size_t i = 0; i < 20; ++i) small.record((i * 7) % 64);
+  for (std::size_t i = 0; i < 90; ++i) big.record((i * 11) % 256);
+  const common::JointZeroCounts counts =
+      common::joint_zero_counts(small.bits(), big.bits());
+  PairEstimator est(2);
+  const PairEstimate plain = est.from_counts(counts);
+  const PairEstimate factored =
+      est.from_counts(counts, SizeFactors(2, 64, 256));
+  EXPECT_EQ(plain.raw, factored.raw);
+  EXPECT_EQ(plain.n_c_hat, factored.n_c_hat);
+  // Factors for another s or another size pair are refused.
+  EXPECT_THROW((void)est.from_counts(counts, SizeFactors(3, 64, 256)),
+               std::invalid_argument);
+  EXPECT_THROW((void)est.from_counts(counts, SizeFactors(2, 64, 512)),
+               std::invalid_argument);
+  EXPECT_THROW((void)est.from_counts(counts, SizeFactors(2, 128, 256)),
+               std::invalid_argument);
+}
+
 TEST(PairEstimator, UnfoldingEntersViaCongruentPositions) {
   // Bit 3 set in an m=8 array unfolds to bits {3, 11} of m=16; a '1' at
   // bit 11 of the large array must therefore overlap, not add.
