@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 
 #include "common/kernels/kernels.h"
 #include "common/parallel.h"
@@ -168,20 +169,44 @@ void ShardedBitArray::reset() {
 }
 
 std::vector<std::uint8_t> BitArray::to_bytes() const {
-  // Word-wise, mirroring from_bytes: load each word once and shift its
-  // bytes out, instead of re-reading words_[b / 8] for every output byte.
-  std::vector<std::uint8_t> bytes((bit_count_ + 7) / 8, 0);
-  std::size_t b = 0;
-  for (std::size_t w = 0; w < words_.size(); ++w) {
-    std::uint64_t word = words_[w];
-    const std::size_t limit = std::min<std::size_t>(8, bytes.size() - b);
-    for (std::size_t i = 0; i < limit; ++i) {
-      bytes[b + i] = static_cast<std::uint8_t>(word & 0xFFu);
-      word >>= 8;
+  const std::size_t size = (bit_count_ + 7) / 8;
+  if constexpr (std::endian::native == std::endian::little) {
+    // The words' memory already is the wire layout, trailing bits zero:
+    // one copy, with no zero-fill pass ahead of it.
+    const auto* first = reinterpret_cast<const std::uint8_t*>(words_.data());
+    return std::vector<std::uint8_t>(first, first + size);
+  } else {
+    std::vector<std::uint8_t> bytes(size);
+    for (std::size_t b = 0; b < size; ++b) {
+      bytes[b] = static_cast<std::uint8_t>(words_[b / 8] >> (b % 8 * 8));
     }
-    b += limit;
+    return bytes;
   }
-  return bytes;
+}
+
+std::size_t BitArray::serialized_ones(std::size_t bit_count,
+                                      std::span<const std::uint8_t> bytes) {
+  VLM_REQUIRE(bit_count > 0, "bit array must have at least one bit");
+  VLM_REQUIRE(bytes.size() == (bit_count + 7) / 8,
+              "byte buffer does not match the declared bit count");
+  // Trailing bits past bit_count (all in the final byte) must stay zero;
+  // a buffer that sets them would silently corrupt zero counting.
+  VLM_REQUIRE(bit_count % 8 == 0 || (bytes.back() >> (bit_count % 8)) == 0,
+              "byte buffer sets bits past the declared bit count");
+  // The popcount kernel reads words: stage the bytes through an
+  // L1-resident word buffer, zero-padding the final partial word.
+  constexpr std::size_t kChunkWords = 512;
+  std::uint64_t chunk[kChunkWords];
+  const kernels::KernelTable& table = kernels::active();
+  std::size_t ones = 0;
+  for (std::size_t b = 0; b < bytes.size(); b += sizeof(chunk)) {
+    const std::size_t len = std::min(bytes.size() - b, sizeof(chunk));
+    const std::size_t words = (len + 7) / 8;
+    chunk[words - 1] = 0;
+    std::memcpy(chunk, bytes.data() + b, len);
+    ones += table.popcount(chunk, words);
+  }
+  return ones;
 }
 
 JointZeroCounts joint_zero_counts(const BitArray& a, const BitArray& b) {
@@ -517,21 +542,12 @@ std::vector<JointZeroCounts> joint_zero_counts_batch(
 
 BitArray BitArray::from_bytes(std::size_t bit_count,
                               std::span<const std::uint8_t> bytes) {
-  VLM_REQUIRE(bytes.size() == (bit_count + 7) / 8,
-              "byte buffer does not match the declared bit count");
+  const std::size_t ones = serialized_ones(bit_count, bytes);
   BitArray out(bit_count);
   for (std::size_t b = 0; b < bytes.size(); ++b) {
     out.words_[b / 8] |= static_cast<std::uint64_t>(bytes[b]) << ((b % 8) * 8);
   }
-  // Trailing bits past bit_count must stay zero; reject buffers that set
-  // them, since they would silently corrupt zero counting.
-  const std::size_t tail = bit_count % kWordBits;
-  if (tail != 0) {
-    const std::uint64_t mask = (std::uint64_t{1} << tail) - 1;
-    VLM_REQUIRE((out.words_.back() & ~mask) == 0,
-                "byte buffer sets bits past the declared bit count");
-  }
-  out.ones_ = kernels::active().popcount(out.words_.data(), out.words_.size());
+  out.ones_ = ones;
   return out;
 }
 

@@ -79,10 +79,22 @@ class BitArray {
   // past size() are guaranteed zero. Exposed for serialization and tests.
   std::span<const std::uint64_t> words() const { return words_; }
 
-  // Serialization for RSU -> central-server reports.
+  // Serialization for RSU -> central-server reports: ceil(size()/8)
+  // bytes, bit i in byte i/8 at position i%8 (the words' little-endian
+  // layout, so little-endian hosts copy the words as they are).
   std::vector<std::uint8_t> to_bytes() const;
+  // Rebuilds an array from to_bytes output; throws std::invalid_argument
+  // on every buffer serialized_ones rejects.
   static BitArray from_bytes(std::size_t bit_count,
                              std::span<const std::uint8_t> bytes);
+
+  // Checks a to_bytes buffer in place and returns its ones count, without
+  // building an array: the buffer must be exactly ceil(bit_count/8) bytes
+  // with no bit set at or past `bit_count`, and `bit_count` must be
+  // positive. Throws std::invalid_argument otherwise. from_bytes runs the
+  // same checks, so a buffer this accepts always rebuilds.
+  static std::size_t serialized_ones(std::size_t bit_count,
+                                     std::span<const std::uint8_t> bytes);
 
  private:
   static std::size_t word_count_for(std::size_t bits) {

@@ -17,9 +17,10 @@ class RsuState {
   explicit RsuState(std::size_t array_size);
 
   // Reconstructs a state from a reported counter and bit array (the
-  // central server's view). The array size must be a power of two and the
-  // counter must be plausible: a non-zero counter with an all-zero array
-  // (or vice versa) is rejected.
+  // central server's view), taking over `bits` without a copy. The array
+  // size must be a power of two and the counter must be plausible: a
+  // counter below the set bits, or a non-zero counter with an all-zero
+  // array, is rejected.
   static RsuState from_report(std::uint64_t counter, common::BitArray bits);
 
   // Online coding (Eqs. 1-2): n += 1; B[index] = 1. O(1).
@@ -53,6 +54,8 @@ class RsuState {
   double load_factor() const;
 
  private:
+  RsuState(std::uint64_t counter, common::BitArray bits);
+
   std::uint64_t counter_ = 0;
   common::BitArray bits_;
 };

@@ -1,5 +1,8 @@
 #include "vcps/archive.h"
 
+#include <array>
+#include <bit>
+#include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -14,29 +17,108 @@ namespace vlm::vcps {
 namespace {
 
 constexpr char kMagic[4] = {'V', 'L', 'M', 'A'};
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kVersion = 2;
+constexpr std::uint32_t kVersionByteChain = 1;  // read only
 // Bound against absurd inputs when reading untrusted files.
 constexpr std::uint32_t kMaxReports = 1 << 20;
 constexpr std::uint64_t kMaxArrayBits = std::uint64_t{1} << 34;
 
-// Checksum: mix64-chained over every byte written/read.
+std::uint32_t load_le32(const unsigned char* bytes) {
+  std::uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) v |= std::uint32_t{bytes[i]} << (8 * i);
+  return v;
+}
+
+std::uint64_t load_le64(const unsigned char* bytes) {
+  std::uint64_t v;
+  std::memcpy(&v, bytes, sizeof v);
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap64(v);
+  }
+  return v;
+}
+
+// The checksum of either version, absorbed one field per update() call
+// (definitions in archive.h).
 class Digest {
  public:
+  explicit Digest(std::uint32_t version) : version_(version) {}
+
   void update(const void* data, std::size_t size) {
     const auto* bytes = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-      state_ = common::mix64(state_ ^ (bytes[i] + 0x9E3779B97F4A7C15ull));
+    if (version_ == kVersionByteChain) {
+      for (std::size_t i = 0; i < size; ++i) {
+        chain_ = common::mix64(chain_ ^ (bytes[i] + kGamma));
+      }
+      return;
     }
+    const std::size_t words = size / 8;
+    std::size_t w = 0;
+    for (; w < words && next_ % kLanes != 0; ++w) {
+      step(load_le64(bytes + 8 * w));
+    }
+    // Lane-aligned: four independent mix64 chains per iteration.
+    const std::size_t quads = (words - w) / kLanes;
+    std::uint64_t l0 = lanes_[0], l1 = lanes_[1], l2 = lanes_[2],
+                  l3 = lanes_[3];
+    for (std::size_t q = 0; q < quads; ++q, w += kLanes) {
+      const unsigned char* p = bytes + 8 * w;
+      l0 = common::mix64(l0 ^ load_le64(p));
+      l1 = common::mix64(l1 ^ load_le64(p + 8));
+      l2 = common::mix64(l2 ^ load_le64(p + 16));
+      l3 = common::mix64(l3 ^ load_le64(p + 24));
+    }
+    lanes_[0] = l0;
+    lanes_[1] = l1;
+    lanes_[2] = l2;
+    lanes_[3] = l3;
+    next_ += quads * kLanes;
+    for (; w < words; ++w) step(load_le64(bytes + 8 * w));
+    if (size % 8 != 0) {
+      std::uint64_t tail = 0;
+      for (std::size_t i = 0; i < size % 8; ++i) {
+        tail |= std::uint64_t{bytes[8 * words + i]} << (8 * i);
+      }
+      step(tail);
+    }
+    step(size);
   }
-  std::uint64_t value() const { return state_; }
+
+  std::uint64_t value() const {
+    if (version_ == kVersionByteChain) return chain_;
+    std::uint64_t h = 0;
+    for (const std::uint64_t lane : lanes_) h = common::mix64(h ^ lane);
+    return h;
+  }
 
  private:
-  std::uint64_t state_ = 0xA5A5A5A55A5A5A5Aull;
+  static constexpr std::size_t kLanes = 4;
+  static constexpr std::uint64_t kSeed = 0xA5A5A5A55A5A5A5Aull;
+  static constexpr std::uint64_t kGamma = 0x9E3779B97F4A7C15ull;
+
+  void step(std::uint64_t word) {
+    std::uint64_t& lane = lanes_[next_ % kLanes];
+    lane = common::mix64(lane ^ word);
+    ++next_;
+  }
+
+  std::uint32_t version_;
+  std::uint64_t chain_ = kSeed;
+  std::array<std::uint64_t, kLanes> lanes_ = {
+      kSeed, kSeed + kGamma, kSeed + 2 * kGamma, kSeed + 3 * kGamma};
+  std::uint64_t next_ = 0;  // words absorbed so far
 };
+
+void read_exact(std::istream& in, void* data, std::size_t size) {
+  in.read(static_cast<char*>(data), static_cast<std::streamsize>(size));
+  if (static_cast<std::size_t>(in.gcount()) != size) {
+    throw std::runtime_error("archive truncated");
+  }
+}
 
 class Writer {
  public:
-  explicit Writer(std::ostream& out) : out_(out) {}
+  explicit Writer(std::ostream& out) : out_(out), digest_(kVersion) {}
 
   void bytes(const void* data, std::size_t size) {
     out_.write(static_cast<const char*>(data),
@@ -62,37 +144,32 @@ class Writer {
 
 class Reader {
  public:
-  explicit Reader(std::istream& in) : in_(in) {}
+  Reader(std::istream& in, std::uint32_t version)
+      : in_(in), digest_(version) {}
 
   void bytes(void* data, std::size_t size) {
-    in_.read(static_cast<char*>(data), static_cast<std::streamsize>(size));
-    if (static_cast<std::size_t>(in_.gcount()) != size) {
-      throw std::runtime_error("archive truncated");
-    }
+    read_exact(in_, data, size);
+    absorb(data, size);
+  }
+  // Folds a field already read into the digest.
+  void absorb(const void* data, std::size_t size) {
     digest_.update(data, size);
   }
   std::uint32_t u32() {
     unsigned char buf[4];
     bytes(buf, 4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= std::uint32_t{buf[i]} << (8 * i);
-    return v;
+    return load_le32(buf);
   }
   std::uint64_t u64() {
     unsigned char buf[8];
     bytes(buf, 8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= std::uint64_t{buf[i]} << (8 * i);
-    return v;
+    return load_le64(buf);
   }
   // Reads WITHOUT updating the digest (for the trailing checksum).
   std::uint64_t raw_u64() {
     unsigned char buf[8];
-    in_.read(reinterpret_cast<char*>(buf), 8);
-    if (in_.gcount() != 8) throw std::runtime_error("archive truncated");
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= std::uint64_t{buf[i]} << (8 * i);
-    return v;
+    read_exact(in_, buf, 8);
+    return load_le64(buf);
   }
   std::uint64_t digest() const { return digest_.value(); }
 
@@ -120,7 +197,7 @@ void write_archive(std::ostream& out, const PeriodArchive& archive) {
     w.u64(report.counter);
     w.u64(report.array_size);
     w.u32(static_cast<std::uint32_t>(report.bits.size()));
-    if (!report.bits.empty()) w.bytes(report.bits.data(), report.bits.size());
+    w.bytes(report.bits.data(), report.bits.size());
   }
   const std::uint64_t checksum = w.digest();
   // The checksum itself is written raw (not folded into the digest).
@@ -131,17 +208,23 @@ void write_archive(std::ostream& out, const PeriodArchive& archive) {
 }
 
 PeriodArchive read_archive(std::istream& in) {
-  Reader r(in);
-  char magic[4];
-  r.bytes(magic, 4);
-  if (std::string(magic, 4) != std::string(kMagic, 4)) {
+  // Magic and version come first; the version picks the checksum, which
+  // then absorbs them like every other field.
+  unsigned char magic[4];
+  unsigned char version_bytes[4];
+  read_exact(in, magic, 4);
+  if (std::memcmp(magic, kMagic, 4) != 0) {
     throw std::runtime_error("not a VLM archive (bad magic)");
   }
-  const std::uint32_t version = r.u32();
-  if (version != kVersion) {
+  read_exact(in, version_bytes, 4);
+  const std::uint32_t version = load_le32(version_bytes);
+  if (version != kVersion && version != kVersionByteChain) {
     throw std::runtime_error("unsupported archive version " +
                              std::to_string(version));
   }
+  Reader r(in, version);
+  r.absorb(magic, 4);
+  r.absorb(version_bytes, 4);
   PeriodArchive archive;
   archive.period = r.u64();
   const std::uint32_t count = r.u32();

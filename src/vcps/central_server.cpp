@@ -1,8 +1,10 @@
 #include "vcps/central_server.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/bit_array.h"
+#include "common/math_util.h"
 #include "common/require.h"
 #include "obs/clock.h"
 #include "obs/metrics.h"
@@ -36,6 +38,12 @@ ServerMetrics& server_metrics() {
 }
 
 }  // namespace
+
+core::RsuState rebuild_state(const RsuReport& report) {
+  return core::RsuState::from_report(
+      report.counter,
+      common::BitArray::from_bytes(report.array_size, report.bits));
+}
 
 CentralServer::CentralServer(const CentralServerConfig& config)
     : scheme_(config.scheme),
@@ -82,7 +90,7 @@ void CentralServer::begin_period(std::uint64_t period) {
   stats_.period = period;
 }
 
-QuarantineReason CentralServer::ingest(const RsuReport& report) {
+QuarantineReason CentralServer::ingest(RsuReport report) {
   ServerMetrics& metrics = server_metrics();
   obs::Span ingest_span(metrics.ingest);
   auto history_it = history_.find(report.rsu);
@@ -91,9 +99,13 @@ QuarantineReason CentralServer::ingest(const RsuReport& report) {
   VLM_REQUIRE(reports_.find(report.rsu) == reports_.end() &&
                   quarantined_.find(report.rsu) == quarantined_.end(),
               "duplicate report for this period");
-  // from_bytes validates the buffer length and trailing-bit hygiene.
-  const common::BitArray bits =
-      common::BitArray::from_bytes(report.array_size, report.bits);
+  // Only power-of-two arrays unfold onto each other (Section IV-A);
+  // serialized_ones checks the buffer length and trailing-bit hygiene.
+  VLM_REQUIRE(report.array_size >= 2 &&
+                  common::is_power_of_two(report.array_size),
+              "report array size must be a power of two >= 2");
+  const std::size_t ones =
+      common::BitArray::serialized_ones(report.array_size, report.bits);
 
   auto account = [&](QuarantineReason reason) {
     stats_.ingest_seconds += ingest_span.finish();
@@ -113,22 +125,30 @@ QuarantineReason CentralServer::ingest(const RsuReport& report) {
     }
     return reason;
   };
+  auto quarantine = [&](QuarantineReason reason) {
+    quarantined_[report.rsu] = reason;
+    return account(reason);
+  };
 
+  // Every vehicle sets one bit and counts once, so these reports are
+  // impossible — and RsuState::from_report would throw on them at every
+  // later decode. Quarantine them whether or not validation is on.
+  if (ones > report.counter || (report.counter > 0 && ones == 0)) {
+    return quarantine(QuarantineReason::kZeroCountAnomaly);
+  }
   if (validation_.enabled) {
     const core::ReportValidator validator(validation_.tolerance_sigmas);
-    const auto assessment =
-        validator.assess(report.counter, report.array_size, bits.count_zeros());
+    const auto assessment = validator.assess(
+        report.counter, report.array_size, report.array_size - ones);
     if (assessment.verdict != core::ReportVerdict::kPlausible) {
-      quarantined_[report.rsu] = QuarantineReason::kZeroCountAnomaly;
-      return account(QuarantineReason::kZeroCountAnomaly);
+      return quarantine(QuarantineReason::kZeroCountAnomaly);
     }
     const double history = history_it->second;
     if (history >= validation_.min_history_for_ratio_check) {
       const double counter = static_cast<double>(report.counter);
       if (counter > history * validation_.max_history_ratio ||
           counter < history / validation_.max_history_ratio) {
-        quarantined_[report.rsu] = QuarantineReason::kVolumeAnomaly;
-        return account(QuarantineReason::kVolumeAnomaly);
+        return quarantine(QuarantineReason::kVolumeAnomaly);
       }
     }
   }
@@ -138,7 +158,8 @@ QuarantineReason CentralServer::ingest(const RsuReport& report) {
   // traffic data in the current measurement period").
   history_it->second = (1.0 - history_alpha_) * history_it->second +
                        history_alpha_ * static_cast<double>(report.counter);
-  reports_.emplace(report.rsu, report);
+  const core::RsuId id = report.rsu;
+  reports_.emplace(id, std::move(report));
   return account(QuarantineReason::kNone);
 }
 
@@ -152,15 +173,6 @@ const RsuReport& CentralServer::report_for(core::RsuId id) const {
   VLM_REQUIRE(it != reports_.end(), "no report from this RSU this period");
   return it->second;
 }
-
-namespace {
-
-core::RsuState rebuild_state(const RsuReport& r) {
-  return core::RsuState::from_report(
-      r.counter, common::BitArray::from_bytes(r.array_size, r.bits));
-}
-
-}  // namespace
 
 core::PairEstimate CentralServer::estimate(core::RsuId a,
                                            core::RsuId b) const {

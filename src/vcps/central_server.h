@@ -44,8 +44,10 @@ struct ReportValidationConfig {
 
 enum class QuarantineReason {
   kNone,
-  kZeroCountAnomaly,  // ReportValidator verdict != plausible
-  kVolumeAnomaly,     // counter inconsistent with history
+  // Counter inconsistent with the set bits, or (validation on) a
+  // ReportValidator verdict other than plausible.
+  kZeroCountAnomaly,
+  kVolumeAnomaly,  // counter inconsistent with history
 };
 
 struct CentralServerConfig {
@@ -75,6 +77,12 @@ struct PipelineStats {
   obs::health::HealthSummary health;
 };
 
+// The server's view of a report: BitArray::from_bytes, then
+// RsuState::from_report. Throws std::invalid_argument on a report either
+// rejects. Every report-to-state rebuild (estimates, archive analysis)
+// goes through here.
+core::RsuState rebuild_state(const RsuReport& report);
+
 class CentralServer {
  public:
   explicit CentralServer(const CentralServerConfig& config);
@@ -96,11 +104,17 @@ class CentralServer {
   std::uint64_t current_period() const { return period_; }
 
   // Validates and stores a report; updates the RSU's history volume.
-  // Throws std::invalid_argument for unregistered RSUs, wrong period,
-  // size mismatch, or duplicate reports. With validation enabled,
-  // implausible reports are quarantined instead of stored: they enter
-  // neither estimates nor the history, and the returned reason says why.
-  QuarantineReason ingest(const RsuReport& report);
+  // The bytes are checked in place and the report is moved into storage
+  // (pass a temporary, or std::move, to avoid copying its bits).
+  // Throws std::invalid_argument for unregistered RSUs, wrong period, an
+  // array size that is not a power of two >= 2, a byte buffer that does
+  // not match it, or duplicate reports. A report no honest RSU can send
+  // (a counter below its set bits, or a non-zero counter over an
+  // all-zero array) is always quarantined as kZeroCountAnomaly; with
+  // validation enabled, implausible reports are quarantined too.
+  // Quarantined reports enter neither estimates nor the history, and the
+  // returned reason says why.
+  QuarantineReason ingest(RsuReport report);
 
   std::size_t reports_received() const { return reports_.size(); }
   std::size_t quarantined_count() const { return quarantined_.size(); }

@@ -303,23 +303,38 @@ TEST(BitArraySerialization, RoundTrips) {
   EXPECT_EQ(restored, bits);
 }
 
+// serialized_ones runs the checks from_bytes relies on; every rejection
+// below goes through both.
 TEST(BitArraySerialization, RejectsWrongLength) {
   BitArray bits(64);
   auto bytes = bits.to_bytes();
   bytes.push_back(0);
   EXPECT_THROW((void)BitArray::from_bytes(64, bytes), std::invalid_argument);
+  EXPECT_THROW((void)BitArray::serialized_ones(64, bytes),
+               std::invalid_argument);
+  bytes.resize(7);
+  EXPECT_THROW((void)BitArray::from_bytes(64, bytes), std::invalid_argument);
+  EXPECT_THROW((void)BitArray::serialized_ones(64, bytes),
+               std::invalid_argument);
+  // An empty array has no valid serialization.
+  EXPECT_THROW((void)BitArray::from_bytes(0, {}), std::invalid_argument);
+  EXPECT_THROW((void)BitArray::serialized_ones(0, {}), std::invalid_argument);
 }
 
 TEST(BitArraySerialization, RejectsTrailingGarbageBits) {
   // Declared 12 bits -> 2 bytes; bit 13 set is out of range.
   std::vector<std::uint8_t> bytes{0x00, 0xF0};
   EXPECT_THROW((void)BitArray::from_bytes(12, bytes), std::invalid_argument);
+  EXPECT_THROW((void)BitArray::serialized_ones(12, bytes),
+               std::invalid_argument);
 }
 
 TEST(BitArraySerialization, RoundTripsNonWordMultipleSizes) {
   // Sizes that are neither byte- nor word-multiples: the final byte is
-  // partially occupied and the recount must still be exact.
-  for (const std::size_t size : {1u, 7u, 9u, 63u, 65u, 130u, 1000u}) {
+  // partially occupied and the recount must still be exact. The large
+  // sizes straddle serialized_ones' 4096-byte staging chunks.
+  for (const std::size_t size : {1u, 7u, 9u, 63u, 65u, 130u, 1000u, 32768u,
+                                 32769u, 100000u}) {
     BitArray bits(size);
     for (std::size_t i = 0; i < size; i += 3) bits.set(i);
     if (size > 1) bits.set(size - 1);
@@ -328,6 +343,8 @@ TEST(BitArraySerialization, RoundTripsNonWordMultipleSizes) {
     const BitArray restored = BitArray::from_bytes(size, bytes);
     EXPECT_EQ(restored, bits) << "size=" << size;
     EXPECT_EQ(restored.count_ones(), bits.count_ones()) << "size=" << size;
+    EXPECT_EQ(BitArray::serialized_ones(size, bytes), bits.count_ones())
+        << "size=" << size;
   }
 }
 
@@ -341,6 +358,9 @@ TEST(BitArraySerialization, RejectsAnyBitPastDeclaredSize) {
       std::vector<std::uint8_t> tampered = bytes;
       tampered[bad / 8] = static_cast<std::uint8_t>(1u << (bad % 8));
       EXPECT_THROW((void)BitArray::from_bytes(size, tampered),
+                   std::invalid_argument)
+          << "size=" << size << " trailing bit " << bad;
+      EXPECT_THROW((void)BitArray::serialized_ones(size, tampered),
                    std::invalid_argument)
           << "size=" << size << " trailing bit " << bad;
     }

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace vlm::core {
 namespace {
@@ -97,6 +98,17 @@ TEST(RsuStateFromReport, ReconstructsState) {
   EXPECT_EQ(restored.bits(), original.bits());
 }
 
+TEST(RsuStateFromReport, TakesOverTheBitsWithoutACopy) {
+  common::BitArray bits(1 << 12);
+  bits.set(5);
+  bits.set(700);
+  const std::uint64_t* storage = bits.words().data();
+  const RsuState state = RsuState::from_report(4, std::move(bits));
+  EXPECT_EQ(state.bits().words().data(), storage);
+  EXPECT_EQ(state.counter(), 4u);
+  EXPECT_EQ(state.zero_count(), (std::size_t{1} << 12) - 2);
+}
+
 TEST(RsuStateFromReport, RejectsInconsistentReports) {
   common::BitArray bits(8);
   bits.set(0);
@@ -112,6 +124,10 @@ TEST(RsuStateFromReport, RejectsInconsistentReports) {
 
 TEST(RsuStateFromReport, RequiresPowerOfTwoArray) {
   EXPECT_THROW((void)RsuState::from_report(0, common::BitArray(24)),
+               std::invalid_argument);
+  EXPECT_THROW((void)RsuState::from_report(0, common::BitArray(1)),
+               std::invalid_argument);
+  EXPECT_THROW((void)RsuState::from_report(0, common::BitArray()),
                std::invalid_argument);
 }
 

@@ -57,7 +57,8 @@ TEST(ArchiveFuzz, EverySingleByteFlipIsHandled) {
       }
     }
   }
-  // With a chained digest over all bytes, every flip must be caught.
+  // Every checksum step is a bijection of its word, so every flip must
+  // be caught.
   EXPECT_EQ(accepted, 0);
   EXPECT_GT(rejected, 0);
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <utility>
 
 #include "common/bit_array.h"
 
@@ -58,10 +59,17 @@ TEST(CentralServer, RejectsBadReports) {
   // Wrong period.
   EXPECT_THROW(server.ingest(make_report(core::RsuId{1}, 2, 10, 1 << 13, {1})),
                std::invalid_argument);
-  // Byte buffer length mismatch.
+  // Byte buffer length mismatch, either way, and a bit set past the
+  // array size (m = 4 leaves four unused bits in its byte): the buffers
+  // BitArray::from_bytes rejects, checked in place.
   RsuReport bad = make_report(core::RsuId{1}, 1, 10, 1 << 13, {1});
   bad.bits.pop_back();
   EXPECT_THROW(server.ingest(bad), std::invalid_argument);
+  bad.bits.resize(bad.bits.size() + 2);
+  EXPECT_THROW(server.ingest(bad), std::invalid_argument);
+  RsuReport past_end = make_report(core::RsuId{1}, 1, 2, 4, {1});
+  past_end.bits[0] |= 0x10;
+  EXPECT_THROW(server.ingest(past_end), std::invalid_argument);
   // Duplicate.
   server.ingest(make_report(core::RsuId{1}, 1, 10, 1 << 13, {1}));
   EXPECT_THROW(server.ingest(make_report(core::RsuId{1}, 1, 10, 1 << 13, {1})),
@@ -108,12 +116,65 @@ TEST(CentralServer, RejectsInconsistentCounterBitPatterns) {
   server.register_rsu(core::RsuId{1}, 1000.0);
   server.register_rsu(core::RsuId{2}, 1000.0);
   server.begin_period(1);
-  // Counter 1 but two bits set: impossible; rejected at estimate time
-  // when the state is rebuilt.
-  server.ingest(make_report(core::RsuId{1}, 1, 1, 1 << 13, {1, 2}));
+  // Counter 1 but two bits set: impossible; quarantined at ingest even
+  // with validation off, so the pair has no report to estimate from.
+  EXPECT_EQ(server.ingest(make_report(core::RsuId{1}, 1, 1, 1 << 13, {1, 2})),
+            QuarantineReason::kZeroCountAnomaly);
   server.ingest(make_report(core::RsuId{2}, 1, 3, 1 << 13, {1, 5, 6}));
   EXPECT_THROW((void)server.estimate(core::RsuId{1}, core::RsuId{2}),
                std::invalid_argument);
+}
+
+TEST(CentralServer, UndecodableReportsNeverReachTheMatrix) {
+  // Reports no honest RSU can send, on a server with validation off.
+  // Each used to be stored and then break every estimate_matrix of its
+  // period at state rebuild, although the other pairs decode fine.
+  struct Case {
+    const char* what;
+    std::uint64_t counter;
+    std::size_t m;
+    std::initializer_list<std::size_t> ones;
+    bool malformed;  // rejected with invalid_argument, not quarantined
+  };
+  const Case cases[] = {
+      {"counter below the set bits", 1, 1 << 13, {1, 2}, false},
+      {"counter 1 over an all-zero array", 1, 1 << 13, {}, false},
+      {"counter 2 over an all-zero array", 2, 1 << 13, {}, false},
+      {"array size not a power of two", 3, 24, {1, 2, 3}, true},
+      {"array size below two", 1, 1, {0}, true},
+  };
+  CentralServer server(vlm_config());
+  for (std::uint64_t id = 1; id <= 3; ++id) {
+    server.register_rsu(core::RsuId{id}, 1000.0);
+  }
+  std::uint64_t period = 0;
+  for (const Case& c : cases) {
+    server.begin_period(++period);
+    const double history = server.history_volume(core::RsuId{1});
+    RsuReport bad = make_report(core::RsuId{1}, period, c.counter, c.m, c.ones);
+    if (c.malformed) {
+      EXPECT_THROW(server.ingest(std::move(bad)), std::invalid_argument)
+          << c.what;
+      EXPECT_EQ(server.quarantined_count(), 0u) << c.what;
+    } else {
+      EXPECT_EQ(server.ingest(std::move(bad)),
+                QuarantineReason::kZeroCountAnomaly)
+          << c.what;
+      EXPECT_EQ(server.quarantine_reason(core::RsuId{1}),
+                QuarantineReason::kZeroCountAnomaly)
+          << c.what;
+    }
+    server.ingest(make_report(core::RsuId{2}, period, 3, 1 << 13, {1, 5, 6}));
+    server.ingest(make_report(core::RsuId{3}, period, 2, 1 << 12, {5, 9}));
+    EXPECT_EQ(server.reports_received(), 2u) << c.what;
+    EXPECT_DOUBLE_EQ(server.history_volume(core::RsuId{1}), history) << c.what;
+    EXPECT_EQ(server.estimate_matrix().rsu_count(), 2u) << c.what;
+  }
+  // An idle RSU (counter 0, all-zero array) is honest and still stored.
+  server.begin_period(++period);
+  EXPECT_EQ(server.ingest(make_report(core::RsuId{1}, period, 0, 1 << 13, {})),
+            QuarantineReason::kNone);
+  EXPECT_EQ(server.reports_received(), 1u);
 }
 
 TEST(CentralServer, IntervalEstimateBracketsPointEstimate) {

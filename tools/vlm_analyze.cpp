@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "common/bit_array.h"
 #include "common/cli.h"
 #include "common/csv.h"
 #include "common/table.h"
@@ -27,6 +26,7 @@
 #include "obs/stats_text.h"
 #include "obs/trace.h"
 #include "vcps/archive.h"
+#include "vcps/central_server.h"
 
 namespace {
 
@@ -86,7 +86,12 @@ int main(int argc, char** argv) {
   parser.add_string("trace", "",
                     "write a Chrome Trace Event JSON flight-recorder timeline "
                     "here (VLM_TRACE when empty)");
-  if (!parser.parse(argc, argv)) return 0;
+  try {
+    if (!parser.parse(argc, argv)) return 0;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 
   // Resolve export destinations before any fallible work: a bad flag or
   // unreadable archive must still flush the metrics measured so far (the
@@ -129,11 +134,7 @@ int main(int argc, char** argv) {
     std::vector<LoadedReport> rsus;
     rsus.reserve(archive.reports.size());
     for (const vcps::RsuReport& report : archive.reports) {
-      rsus.push_back(LoadedReport{
-          report.rsu,
-          core::RsuState::from_report(
-              report.counter,
-              common::BitArray::from_bytes(report.array_size, report.bits))});
+      rsus.push_back(LoadedReport{report.rsu, vcps::rebuild_state(report)});
     }
     std::sort(rsus.begin(), rsus.end(),
               [](const LoadedReport& a, const LoadedReport& b) {
@@ -198,12 +199,8 @@ int main(int argc, char** argv) {
                        static_cast<unsigned long long>(period.period));
           return 1;
         }
-        auto rebuild = [](const vcps::RsuReport& r) {
-          return core::RsuState::from_report(
-              r.counter,
-              common::BitArray::from_bytes(r.array_size, r.bits));
-        };
-        aggregator.add_period(estimator.estimate(rebuild(*ra), rebuild(*rb)));
+        aggregator.add_period(estimator.estimate(vcps::rebuild_state(*ra),
+                                                 vcps::rebuild_state(*rb)));
       }
       const core::AggregateEstimate e = aggregator.aggregate();
       std::printf(

@@ -155,7 +155,12 @@ int main(int argc, char** argv) {
   parser.add_string("trace", "",
                     "write a Chrome Trace Event JSON flight-recorder timeline "
                     "here (VLM_TRACE when empty)");
-  if (!parser.parse(argc, argv)) return 0;
+  try {
+    if (!parser.parse(argc, argv)) return 0;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 
   // Export destinations resolve before any fallible work so a run that
   // dies partway (bad flag value, unwritable archive) still flushes what
