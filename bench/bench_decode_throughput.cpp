@@ -369,7 +369,8 @@ int main(int argc, char** argv) {
   // point run to run.
   obs::health::HealthSummary health_summary =
       obs::health::assess_rsus(main_states, obs::health::HealthOptions{});
-  obs::health::assess_pairs(blocked_parallel, health_summary);
+  obs::health::assess_pairs(blocked_parallel, health_summary,
+                            blocked_parallel_stats.workers);
 
   char pruned_json[768];
   std::snprintf(

@@ -6,11 +6,14 @@
 // and O(m/64).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
 #include <utility>
 #include <vector>
+
+#include "common/uninit.h"
 
 namespace vlm::common {
 
@@ -162,6 +165,18 @@ struct JointZeroCounts {
 // a sizing hint. O(m_y / 64) time, O(1) extra space.
 JointZeroCounts joint_zero_counts(const BitArray& a, const BitArray& b);
 
+// JointZeroCounts::words_scanned of a pair of the given sizes (smaller
+// first): both arrays once for word-aligned sizes; a sub-word smaller
+// array takes the materializing fallback, which also writes and then
+// counts one larger-sized OR array.
+inline std::size_t joint_words_scanned(std::size_t size_small,
+                                       std::size_t size_large) {
+  constexpr std::size_t kWord = BitArray::kWordBits;
+  const std::size_t small_words = (size_small + kWord - 1) / kWord;
+  const std::size_t large_words = (size_large + kWord - 1) / kWord;
+  return small_words + (size_small % kWord == 0 ? 1 : 3) * large_words;
+}
+
 namespace kernels {
 struct KernelTable;
 }  // namespace kernels
@@ -197,30 +212,78 @@ struct BatchDecodeStats {
   std::size_t fallback_pairs = 0;
 };
 
-// Batch decode: JointZeroCounts for EVERY unordered pair of `arrays`, in
-// upper-triangle row-major order ((0,1), (0,2), ..., (1,2), ...) — the
+// Output of the batch decode below: the per-array fields once, plus one
+// 8-byte count per pair — the one bits of unfold(small) | large, the
+// only per-pair quantity Eq. 5 reads. A pair's JointZeroCounts is built
+// from them on demand, bit-identical (words_scanned included) to
+// joint_zero_counts on the same two arrays in the same operand order.
+struct BatchZeroCounts {
+  std::vector<std::size_t> bits;   // array i's bit count
+  std::vector<std::size_t> zeros;  // array i's zero bits
+  // One count per pair slot: the pair-list form keeps pair p in slot p,
+  // the all-pairs form uses slot(a, b).
+  UninitVector<std::size_t> ones_or;
+
+  // All-pairs slot of arrays a != b: the row-major upper-triangle index
+  // of the pair ((0,1), (0,2), ..., (1,2), ...).
+  std::size_t slot(std::size_t a, std::size_t b) const {
+    const std::size_t lo = std::min(a, b);
+    const std::size_t hi = std::max(a, b);
+    return lo * bits.size() - lo * (lo + 1) / 2 + (hi - lo - 1);
+  }
+
+  // joint_zero_counts(*arrays[first], *arrays[second]), read from the
+  // pair's slot.
+  JointZeroCounts counts(std::size_t first, std::size_t second,
+                         std::size_t pair_slot) const {
+    const bool first_is_small = bits[first] <= bits[second];
+    const std::size_t small = first_is_small ? first : second;
+    const std::size_t large = first_is_small ? second : first;
+    JointZeroCounts out;
+    out.size_small = bits[small];
+    out.size_large = bits[large];
+    out.zeros_small = zeros[small];
+    out.zeros_large = zeros[large];
+    out.zeros_or = bits[large] - ones_or[pair_slot];
+    out.words_scanned = joint_words_scanned(bits[small], bits[large]);
+    return out;
+  }
+
+  // All-pairs form: counts(a, b, slot(a, b)).
+  JointZeroCounts at(std::size_t a, std::size_t b) const {
+    return counts(a, b, slot(a, b));
+  }
+};
+
+// Batch decode: the counts of EVERY unordered pair of `arrays` — the
 // K-RSU form of joint_zero_counts, bit-identical to calling it per pair
 // but with O(K·m) DRAM traffic per tile sweep instead of O(K²·m): each
 // anchor (the larger array of its pairs) is split into word tiles, and
-// each tile is combined with every partner while it is cache-hot. Pairs
-// whose smaller array is below one word fall back to the per-pair
-// kernel. Size-incompatibility throws exactly as joint_zero_counts does,
-// before any counting starts.
-std::vector<JointZeroCounts> joint_zero_counts_batch(
-    std::span<const BitArray* const> arrays,
-    const BatchDecodeOptions& options = {},
-    BatchDecodeStats* stats = nullptr);
+// each tile is combined with every partner while it is cache-hot.
+//
+// Layout: the arrays are ordered once by (size, index), and the array at
+// position q anchors its pairs with positions [0, q) — the lower position
+// plays the smaller array, the first operand on size ties, as in
+// joint_zero_counts. Anchor q's partners are therefore a prefix of one
+// K-entry array, and the sweep's accumulator slot of positions (p, q) is
+// q(q − 1)/2 + p, so no per-pair list or placement is built; a finished
+// anchor stores its counts at their triangle slots. Arrays below one
+// word form a prefix of the order; their pairs take the per-pair
+// materializing fallback and are left out of the sweep's slots.
+// Unfold-compatibility is checked between consecutive distinct sizes and
+// throws exactly as joint_zero_counts does, before any counting starts.
+BatchZeroCounts joint_zero_counts_batch(std::span<const BitArray* const> arrays,
+                                        const BatchDecodeOptions& options = {},
+                                        BatchDecodeStats* stats = nullptr);
 
-// Pair-list form: JointZeroCounts for exactly the given (first, second)
-// index pairs into `arrays`, in the order given — the sweep the pruned
-// decode mode runs over its survivor list. Each entry is computed
-// exactly as joint_zero_counts(*arrays[first], *arrays[second]) from
-// exact integer partials, so any subset's counts are bit-identical to
-// the corresponding entries of the all-pairs call (which delegates
-// here). Any pair order works; within an anchor, partners are swept in
-// list order.
+// Pair-list form: the counts of exactly the given (first, second) index
+// pairs into `arrays`, pair p in slot p — the sweep the pruned decode
+// mode runs over its survivor list. A counting sort groups the pairs by
+// anchor and feeds the same tile sweep as the all-pairs form, so any
+// subset's counts are bit-identical to the all-pairs ones. Any pair order
+// works; within an anchor, partners are swept in list order.
 // Pairs may be empty; indices must be in range and distinct.
-std::vector<JointZeroCounts> joint_zero_counts_batch(
+BatchZeroCounts joint_zero_counts_batch(
     std::span<const BitArray* const> arrays,
     std::span<const std::pair<std::uint32_t, std::uint32_t>> pairs,
     const BatchDecodeOptions& options = {},

@@ -6,13 +6,14 @@
 // pass is pure waste: the columns are sized exactly by a counting pass
 // and then every slot is written through a cursor (or by a batch
 // kernel), so tens of MB per worker per period would be zeroed only to
-// be overwritten. UninitAllocator makes default-construction of
-// trivially-constructible elements a no-op, turning resize() into a pure
-// size bump (plus allocation when capacity grows).
+// be overwritten. UninitAllocator makes value-initialization a no-op,
+// turning resize() into a pure size bump (plus allocation when capacity
+// grows). The decode's matrix cells use it the same way: each cell's
+// page is first touched by the worker that writes it.
 //
 // Only safe when every element in [0, size()) is written before it is
 // read — the call sites must guarantee that, exactly as they would for a
-// raw `new T[n]` buffer.
+// raw `new T[n]` buffer. Default member initializers are skipped too.
 #pragma once
 
 #include <memory>
@@ -25,8 +26,13 @@ namespace vlm::common {
 template <typename T, typename Base = std::allocator<T>>
 class UninitAllocator : public Base {
  public:
-  static_assert(std::is_trivially_default_constructible_v<T>,
-                "UninitAllocator only skips trivial default-construction");
+  // Trivially copyable and trivially destructible types are created
+  // implicitly by the allocation itself, so skipping construction leaves
+  // valid objects with indeterminate values.
+  static_assert(std::is_trivially_copyable_v<T> &&
+                    std::is_trivially_destructible_v<T>,
+                "UninitAllocator only skips construction of trivially "
+                "copyable, trivially destructible elements");
   using Base::Base;
 
   template <typename U>
@@ -36,18 +42,15 @@ class UninitAllocator : public Base {
                                Base>::template rebind_alloc<U>>;
   };
 
-  // Value-initialization requests (the resize() path) become
-  // default-initialization — a no-op for trivial T. Construction with
-  // arguments (push_back, emplace) is unchanged.
+  // Value-initialization requests (the resize() path) leave the storage
+  // as it is. Construction with arguments (push_back, emplace, copies)
+  // is unchanged.
   template <typename U, typename... Args>
   void construct(U* p, Args&&... args) {
     ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
   }
   template <typename U>
-  void construct(U* p) noexcept(
-      std::is_nothrow_default_constructible_v<U>) {
-    ::new (static_cast<void*>(p)) U;
-  }
+  void construct(U*) noexcept {}
 };
 
 // Drop-in vector whose resize() leaves new elements indeterminate.

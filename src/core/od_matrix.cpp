@@ -154,24 +154,42 @@ bool prune_pair(const RsuState& first, const RsuState& second,
   return n_c_ub <= prune.min_volume;
 }
 
+// The pair (a, b), a < b, at index t of the row-major upper triangle of a
+// K-RSU matrix: the inverse of OdMatrix::triangle_index. O(K), so a
+// slice converts only its first index and then walks forward.
+std::pair<std::size_t, std::size_t> triangle_pair(std::size_t k,
+                                                  std::size_t t) {
+  std::size_t a = 0;
+  while (t >= k - 1 - a) {
+    t -= k - 1 - a;
+    ++a;
+  }
+  return {a, a + 1 + t};
+}
+
 }  // namespace
 
-OdMatrix::OdMatrix(std::size_t rsu_count)
+OdMatrix::OdMatrix(std::size_t rsu_count, Unfilled)
     : k_(rsu_count), cells_(rsu_count * (rsu_count - 1) / 2) {
   VLM_REQUIRE(rsu_count >= 2, "an OD matrix needs at least two RSUs");
   measured_pairs_ = cells_.size();
 }
 
+OdMatrix::OdMatrix(std::size_t rsu_count) : OdMatrix(rsu_count, Unfilled{}) {
+  std::fill(cells_.begin(), cells_.end(), EstimateInterval{});
+}
+
 OdMatrix OdMatrix::for_survivors(
     std::size_t rsu_count,
     std::span<const std::pair<std::uint32_t, std::uint32_t>> survivors) {
-  OdMatrix matrix(rsu_count);
+  OdMatrix matrix(rsu_count, Unfilled{});
   matrix.measured_pairs_ = survivors.size();
   const std::size_t total_pairs = matrix.cells_.size();
   if (survivors.size() * 4 >= total_pairs) {
     // Dense fallback: at this density the CSR index costs more than the
     // zero-filled cells it would save. Keep the triangle and mark the
     // measured cells.
+    std::fill(matrix.cells_.begin(), matrix.cells_.end(), EstimateInterval{});
     matrix.measured_.assign(total_pairs, 0);
     for (const auto& [a, b] : survivors) {
       matrix.measured_[matrix.triangle_index(a, b)] = 1;
@@ -281,27 +299,22 @@ OdMatrix estimate_od_matrix(std::span<const RsuState> states, std::uint32_t s,
     mode = k >= 3 ? DecodeMode::kBlocked : DecodeMode::kPairwise;
   }
 
-  // Flatten the upper triangle into an index list so the pair loop can be
-  // sliced across workers. Pair p covers exactly one cell, and every
-  // worker writes only its own pairs' cells (plus its own slot of the
-  // per-pair word counters), so the result is deterministic: identical
-  // for any worker count and any scheduling.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
-  pairs.reserve(k * (k - 1) / 2);
-  for (std::uint32_t a = 0; a < k; ++a) {
-    for (std::uint32_t b = a + 1; b < k; ++b) pairs.emplace_back(a, b);
-  }
-
   // Pruned path, stage 1: per-pair skip decisions over a strided sample
   // of each pair's OR zero fraction. Decisions are computed
   // independently per pair into keep[p] and compacted serially, so the
   // survivor list — and therefore the whole decode — is identical for
   // every worker count. Compaction preserves (a, b) order, which keeps
-  // the batch sweep's anchor groups contiguous.
+  // the batch sweep's anchor groups contiguous. Only this path lists
+  // the pairs; the other two walk the triangle index.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
   double prune_seconds = 0.0;
   std::size_t prune_words = 0;
   std::size_t pairs_pruned = 0;
   if (mode == DecodeMode::kPruned) {
+    pairs.reserve(k * (k - 1) / 2);
+    for (std::uint32_t a = 0; a < k; ++a) {
+      for (std::uint32_t b = a + 1; b < k; ++b) pairs.emplace_back(a, b);
+    }
     obs::Span prune_span(metrics.prune);
     const PairEstimator point_estimator(s);
     const common::kernels::KernelTable& table = common::kernels::active();
@@ -326,51 +339,69 @@ OdMatrix estimate_od_matrix(std::span<const RsuState> states, std::uint32_t s,
 
   OdMatrix matrix = mode == DecodeMode::kPruned
                         ? OdMatrix::for_survivors(k, pairs)
+                    : mode == DecodeMode::kBlocked
+                        ? OdMatrix(k, OdMatrix::Unfilled{})
                         : OdMatrix(k);
+  const std::size_t pairs_decoded =
+      mode == DecodeMode::kPruned ? pairs.size() : matrix.cells_.size();
 
-  // Runs estimate_pair(p, point) -> cell over the pair list, tallying
-  // words scanned and saturated pairs per slice: integer sums, so the
-  // totals are the same for every worker count.
+  // Each pair's cell is written by exactly one slice, and each slice
+  // tallies the words it scanned and its saturated pairs (locally, then
+  // stored once): integer sums, so the totals are the same for every
+  // worker count.
   struct SliceTally {
     std::size_t words = 0;
     std::size_t saturated = 0;
+    void add(const PairEstimate& point) {
+      words += point.words_scanned;
+      saturated += point.saturated ? 1 : 0;
+    }
   };
   std::vector<SliceTally> tallies(used);
-  auto estimate_cells = [&](const auto& estimate_pair) {
+  // Runs estimate_pair(a, b, point) -> cell over every pair a < b of the
+  // dense triangle, slicing the row-major triangle index: each slice
+  // turns its first index into (a, b) once, then walks forward writing
+  // its cells in storage order.
+  auto estimate_triangle = [&](const auto& estimate_pair) {
     common::parallel_slices(
-        pairs.size(), used,
+        pairs_decoded, used,
         [&](unsigned slice, std::size_t begin, std::size_t end) {
-          SliceTally& tally = tallies[slice];
-          for (std::size_t p = begin; p < end; ++p) {
+          SliceTally tally;
+          auto [a, b] = triangle_pair(k, begin);
+          for (std::size_t t = begin; t < end; ++t) {
             PairEstimate point;
-            matrix.cell(pairs[p].first, pairs[p].second) =
-                estimate_pair(p, point);
-            tally.words += point.words_scanned;
-            tally.saturated += point.saturated ? 1 : 0;
+            matrix.cells_[t] = estimate_pair(a, b, point);
+            tally.add(point);
+            if (++b == k) b = ++a + 1;
           }
+          tallies[slice] = tally;
         });
   };
   common::BatchDecodeStats batch_stats;
   double sweep_seconds = 0.0;
   double estimate_seconds = 0.0;
   if (mode == DecodeMode::kBlocked || mode == DecodeMode::kPruned) {
-    // Measure the pair list's zero counts with the cache-blocked batch
-    // sweep, then map them through the identical Eq. 5 / interval math
-    // the pairwise path uses. Both stages are deterministic, so so is
-    // the composition — and because the batch sweep's integer partials
-    // are exact for any pair subset, a survivor's counts (and therefore
-    // its estimate) are bit-identical to the unpruned blocked decode.
+    // Measure the zero counts with the cache-blocked batch sweep, then
+    // map them through the identical Eq. 5 / interval math the pairwise
+    // path uses. Both stages are deterministic, so so is the composition
+    // — and because the batch sweep's integer partials are exact for any
+    // pair subset, a survivor's counts (and therefore its estimate) are
+    // bit-identical to the unpruned blocked decode.
     std::vector<const common::BitArray*> arrays;
     arrays.reserve(k);
     for (const RsuState& state : states) arrays.push_back(&state.bits());
     common::BatchDecodeOptions batch_options;
     batch_options.tile_words = options.tile_words;
     batch_options.workers = used;
-    std::vector<common::JointZeroCounts> counts;
+    common::BatchZeroCounts counts;
     {
       obs::Span sweep_span(metrics.tile_sweep);
-      counts = common::joint_zero_counts_batch(arrays, pairs, batch_options,
-                                               &batch_stats);
+      counts = mode == DecodeMode::kBlocked
+                   ? common::joint_zero_counts_batch(arrays, batch_options,
+                                                     &batch_stats)
+                   : common::joint_zero_counts_batch(arrays, pairs,
+                                                     batch_options,
+                                                     &batch_stats);
       sweep_seconds = sweep_span.finish();
     }
     obs::Span estimate_span(metrics.estimate);
@@ -395,19 +426,38 @@ OdMatrix estimate_od_matrix(std::span<const RsuState> states, std::uint32_t s,
         factors.emplace_back(s, m_small, m_large);
       }
     }
-    estimate_cells([&](std::size_t p, PairEstimate& point) {
-      const auto [a, b] = pairs[p];
+    const auto estimate_counts = [&](std::size_t a, std::size_t b,
+                                     const common::JointZeroCounts& pair,
+                                     PairEstimate& point) {
       const std::size_t lo = std::min(rank[a], rank[b]);
       const std::size_t hi = std::max(rank[a], rank[b]);
-      return estimator.from_counts(counts[p], states[a], states[b],
+      return estimator.from_counts(pair, states[a], states[b],
                                    factors[lo * sizes.size() + hi], &point);
-    });
+    };
+    if (mode == DecodeMode::kBlocked) {
+      estimate_triangle([&](std::size_t a, std::size_t b, PairEstimate& point) {
+        return estimate_counts(a, b, counts.at(a, b), point);
+      });
+    } else {
+      common::parallel_slices(
+          pairs.size(), used,
+          [&](unsigned slice, std::size_t begin, std::size_t end) {
+            SliceTally tally;
+            for (std::size_t p = begin; p < end; ++p) {
+              const auto [a, b] = pairs[p];
+              PairEstimate point;
+              matrix.cell(a, b) =
+                  estimate_counts(a, b, counts.counts(a, b, p), point);
+              tally.add(point);
+            }
+            tallies[slice] = tally;
+          });
+    }
     estimate_seconds = estimate_span.finish();
   } else {
     obs::Span estimate_span(metrics.estimate);
-    estimate_cells([&](std::size_t p, PairEstimate& point) {
-      return estimator.estimate(states[pairs[p].first], states[pairs[p].second],
-                                &point);
+    estimate_triangle([&](std::size_t a, std::size_t b, PairEstimate& point) {
+      return estimator.estimate(states[a], states[b], &point);
     });
     estimate_seconds = estimate_span.finish();
   }
@@ -421,7 +471,7 @@ OdMatrix estimate_od_matrix(std::span<const RsuState> states, std::uint32_t s,
     pairs_saturated += tally.saturated;
   }
   metrics.runs.inc();
-  metrics.pairs.add(pairs.size());
+  metrics.pairs.add(pairs_decoded);
   metrics.words_scanned.add(words_scanned);
   metrics.pairs_pruned.add(pairs_pruned);
   metrics.pairs_survived.add(mode == DecodeMode::kPruned ? pairs.size() : 0);
@@ -435,7 +485,7 @@ OdMatrix estimate_od_matrix(std::span<const RsuState> states, std::uint32_t s,
   const double wall_seconds = total_span.finish();
 
   if (stats != nullptr) {
-    stats->pairs_decoded = pairs.size();
+    stats->pairs_decoded = pairs_decoded;
     stats->pairs_saturated = pairs_saturated;
     stats->words_scanned = words_scanned;
     stats->workers = used;

@@ -13,7 +13,9 @@
 //     same size-only terms (one SizeFactors per distinct size pair), so
 //     the result is bit-identical to the pairwise path for every worker
 //     count and tile size (tests and a differential fuzz suite assert
-//     this).
+//     this). The estimate is a second parallel pass over slices of the
+//     row-major triangle; it writes every cell exactly once, so the
+//     cells are not zero-filled first.
 //   - pruned (opt-in): a cheap strided-sample union estimate per pair
 //     first; pairs whose upper-bounded overlap stays at or below
 //     PruneOptions::min_volume are skipped, and the exact blocked sweep
@@ -35,6 +37,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/uninit.h"
 #include "core/interval.h"
 #include "core/rsu_state.h"
 
@@ -80,7 +83,10 @@ struct DecodeStats {
   // — the estimate is a saturation floor, not a measurement). Health
   // telemetry counts these as `decode/pairs_saturated`.
   std::size_t pairs_saturated = 0;
-  std::size_t words_scanned = 0;  // 64-bit words the fused kernels touched
+  // The per-pair kernel's 64-bit words summed over the decoded pairs
+  // (JointZeroCounts::words_scanned), whichever path ran: per-pair-
+  // equivalent work, not the blocked sweep's DRAM traffic.
+  std::size_t words_scanned = 0;
   unsigned workers = 1;           // threads the work was spread over
   double wall_seconds = 0.0;
   // ISA the kernel dispatch selected for the sweeps ("scalar", "avx2",
@@ -120,7 +126,7 @@ struct DecodeStats {
                ? static_cast<double>(pairs_decoded) / wall_seconds
                : 0.0;
   }
-  // Decode bandwidth over the words actually scanned.
+  // words_scanned per wall second: a per-pair-equivalent rate.
   double mib_per_second() const {
     return wall_seconds > 0.0 ? static_cast<double>(words_scanned) * 8.0 /
                                     (wall_seconds * 1024.0 * 1024.0)
@@ -161,13 +167,20 @@ class OdMatrix {
   // below the density threshold) instead of the dense upper triangle.
   bool sparse() const { return !row_offsets_.empty(); }
 
-  // Calls visit(cell) for every measured pair's cell, in row-major pair
-  // order — O(measured pairs) on sparse storage, no per-cell lookup.
+  // Entries in cell storage: the whole triangle when dense, one per
+  // survivor when sparse.
+  std::size_t stored_cells() const { return cells_.size(); }
+
+  // Calls visit(cell) for every measured pair's cell among storage
+  // entries [begin, end), in row-major pair order — O(measured pairs) on
+  // sparse storage, no per-cell lookup. Disjoint ranges can be walked
+  // concurrently.
   template <typename Visit>
-  void for_each_measured(Visit&& visit) const {
+  void for_each_measured(std::size_t begin, std::size_t end,
+                         Visit&& visit) const {
     // Sparse storage holds exactly the measured cells; the dense layouts
     // hold the whole triangle, flagged when pruned.
-    for (std::size_t i = 0; i < cells_.size(); ++i) {
+    for (std::size_t i = begin; i < end; ++i) {
       if (measured_.empty() || measured_[i] != 0) visit(cells_[i]);
     }
   }
@@ -181,6 +194,12 @@ class OdMatrix {
                                      double, const DecodeOptions&,
                                      DecodeStats*);
   EstimateInterval& cell(std::size_t a, std::size_t b);
+
+  // Dense storage the blocked decode fills: every cell is written exactly
+  // once before anyone reads it, so the cells are left unfilled and each
+  // page is first touched by the worker that writes it.
+  struct Unfilled {};
+  OdMatrix(std::size_t rsu_count, Unfilled);
 
   // Storage for a pruned decode: CSR over the survivor list (must be
   // sorted ascending by (row, col), row < col) when survivors are sparse
@@ -201,8 +220,9 @@ class OdMatrix {
   std::size_t k_;
   std::size_t measured_pairs_ = 0;
   // Dense: the full upper triangle, row-major. Sparse: one entry per
-  // survivor, in survivor order.
-  std::vector<EstimateInterval> cells_;
+  // survivor, in survivor order. Zero-filled except on the blocked path
+  // (see Unfilled).
+  common::UninitVector<EstimateInterval> cells_;
   // CSR index (sparse storage only): row r's survivor columns are
   // cols_[row_offsets_[r] .. row_offsets_[r + 1]).
   std::vector<std::uint32_t> row_offsets_;

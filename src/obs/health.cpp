@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <limits>
 
+#include "common/parallel.h"
 #include "obs/metrics.h"
 
 namespace vlm::obs::health {
@@ -124,28 +125,55 @@ HealthSummary assess_rsus(std::span<const core::RsuState* const> states,
   return summary;
 }
 
-void assess_pairs(const core::OdMatrix& matrix, HealthSummary& summary) {
+void assess_pairs(const core::OdMatrix& matrix, HealthSummary& summary,
+                  unsigned workers) {
   PairGroup& metrics = pair_group();
-  double rel_err_sum = 0.0;
-  matrix.for_each_measured([&](const core::EstimateInterval& cell) {
-    // A non-degraded cell's stddev is the occupancy-exact model
-    // evaluated at n̂_c itself (no clamping), so the ratio is exactly the
-    // interval's own relative error.
-    if (cell.degraded || !(cell.n_c_hat > 0.0)) {
-      ++summary.pairs_degraded;
-      return;
-    }
-    const double rel_err = cell.stddev / cell.n_c_hat;
-    if (!std::isfinite(rel_err)) {
-      ++summary.pairs_degraded;
-      return;
-    }
-    ++summary.pairs_assessed;
-    rel_err_sum += rel_err;
-    summary.max_predicted_rel_err =
-        std::max(summary.max_predicted_rel_err, rel_err);
-    metrics.predicted_rel_err.observe(to_micro(rel_err));
+  // Fixed slices of the cell storage, tallied independently and reduced
+  // in slice order: the summary depends on the cell count, never on the
+  // worker count. A small matrix is one slice, walked inline.
+  constexpr std::size_t kCellsPerSlice = 4096;
+  const std::size_t cells = matrix.stored_cells();
+  const std::size_t slices = (cells + kCellsPerSlice - 1) / kCellsPerSlice;
+  struct SliceTally {
+    std::size_t assessed = 0;
+    std::size_t degraded = 0;
+    double rel_err_sum = 0.0;
+    double rel_err_max = 0.0;
+  };
+  std::vector<SliceTally> tallies(slices);
+  common::parallel_for(slices, workers, [&](std::size_t slice) {
+    SliceTally tally;
+    const std::size_t begin = slice * kCellsPerSlice;
+    matrix.for_each_measured(
+        begin, std::min(cells, begin + kCellsPerSlice),
+        [&](const core::EstimateInterval& cell) {
+          // A non-degraded cell's stddev is the occupancy-exact model
+          // evaluated at n̂_c itself (no clamping), so the ratio is
+          // exactly the interval's own relative error.
+          if (cell.degraded || !(cell.n_c_hat > 0.0)) {
+            ++tally.degraded;
+            return;
+          }
+          const double rel_err = cell.stddev / cell.n_c_hat;
+          if (!std::isfinite(rel_err)) {
+            ++tally.degraded;
+            return;
+          }
+          ++tally.assessed;
+          tally.rel_err_sum += rel_err;
+          tally.rel_err_max = std::max(tally.rel_err_max, rel_err);
+          metrics.predicted_rel_err.observe(to_micro(rel_err));
+        });
+    tallies[slice] = tally;
   });
+  double rel_err_sum = 0.0;
+  for (const SliceTally& tally : tallies) {
+    summary.pairs_assessed += tally.assessed;
+    summary.pairs_degraded += tally.degraded;
+    rel_err_sum += tally.rel_err_sum;
+    summary.max_predicted_rel_err =
+        std::max(summary.max_predicted_rel_err, tally.rel_err_max);
+  }
   summary.mean_predicted_rel_err =
       summary.pairs_assessed > 0
           ? rel_err_sum / static_cast<double>(summary.pairs_assessed)

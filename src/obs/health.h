@@ -115,8 +115,11 @@ HealthSummary assess_rsus(std::span<const core::RsuState* const> states,
 // Walks only measured cells. Degraded cells, zero estimates and
 // non-finite ratios count as degraded and are skipped, so
 // pairs_assessed + pairs_degraded grows by matrix.measured_pairs().
-// Extends `summary` in place.
-void assess_pairs(const core::OdMatrix& matrix, HealthSummary& summary);
+// Extends `summary` in place. The cells are walked in fixed slices of
+// 4096 spread over `workers` threads (>= 1) and reduced in slice order,
+// so the summary is identical for every worker count.
+void assess_pairs(const core::OdMatrix& matrix, HealthSummary& summary,
+                  unsigned workers = 1);
 
 // One-line summary for the CLI stats output, e.g.
 //   "health             rsus 16  saturated 3  drifted 0  max_fill 0.993"

@@ -210,7 +210,7 @@ core::OdMatrix CentralServer::estimate_matrix(double z) const {
   obs::health::HealthOptions health_options;
   health_options.target_load_factor = scheme_->target_load_factor();
   stats_.health = obs::health::assess_rsus(states, health_options);
-  obs::health::assess_pairs(matrix, stats_.health);
+  obs::health::assess_pairs(matrix, stats_.health, stats_.decode.workers);
   return matrix;
 }
 

@@ -131,8 +131,9 @@ class CentralServer {
 
   // The full point-to-point matrix over every RSU that reported this
   // period, in the order given by `matrix_order()`. Needs >= 2 reports.
-  // Runs the batched decode pipeline (config.decode_workers threads) and
-  // records its throughput in stats().decode.
+  // Runs the batched decode pipeline and its pair-health pass (both on
+  // config.decode_workers threads) and records its throughput in
+  // stats().decode.
   std::vector<core::RsuId> matrix_order() const;
   core::OdMatrix estimate_matrix(double z = 1.96) const;
 

@@ -29,24 +29,24 @@ BitArray random_array(std::size_t bits, Xoshiro256ss& rng) {
 }
 
 void expect_matches_per_pair(const std::vector<BitArray>& arrays,
-                             const std::vector<JointZeroCounts>& got,
+                             const BatchZeroCounts& got,
                              const BatchDecodeOptions& options, int trial) {
   const std::size_t k = arrays.size();
-  ASSERT_EQ(got.size(), k * (k - 1) / 2);
-  std::size_t p = 0;
+  ASSERT_EQ(got.ones_or.size(), k * (k - 1) / 2);
   for (std::size_t a = 0; a < k; ++a) {
-    for (std::size_t b = a + 1; b < k; ++b, ++p) {
+    for (std::size_t b = a + 1; b < k; ++b) {
       const JointZeroCounts expected = joint_zero_counts(arrays[a], arrays[b]);
-      EXPECT_EQ(got[p].size_small, expected.size_small)
+      const JointZeroCounts pair = got.at(a, b);
+      EXPECT_EQ(pair.size_small, expected.size_small)
           << "trial=" << trial << " pair (" << a << "," << b
           << ") tile=" << options.tile_words << " workers=" << options.workers;
-      EXPECT_EQ(got[p].size_large, expected.size_large);
-      EXPECT_EQ(got[p].zeros_small, expected.zeros_small);
-      EXPECT_EQ(got[p].zeros_large, expected.zeros_large);
-      EXPECT_EQ(got[p].zeros_or, expected.zeros_or)
+      EXPECT_EQ(pair.size_large, expected.size_large);
+      EXPECT_EQ(pair.zeros_small, expected.zeros_small);
+      EXPECT_EQ(pair.zeros_large, expected.zeros_large);
+      EXPECT_EQ(pair.zeros_or, expected.zeros_or)
           << "trial=" << trial << " pair (" << a << "," << b
           << ") tile=" << options.tile_words << " workers=" << options.workers;
-      EXPECT_EQ(got[p].words_scanned, expected.words_scanned);
+      EXPECT_EQ(pair.words_scanned, expected.words_scanned);
     }
   }
 }

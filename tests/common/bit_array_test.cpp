@@ -510,14 +510,6 @@ TEST(JointZeroCountsBatch, MatchesPerPairForEveryTileAndWorkerChoice) {
   std::vector<const BitArray*> ptrs;
   for (const BitArray& a : arrays) ptrs.push_back(&a);
 
-  // Reference: the per-pair kernel, in upper-triangle row-major order.
-  std::vector<JointZeroCounts> expected;
-  for (std::size_t a = 0; a < arrays.size(); ++a) {
-    for (std::size_t b = a + 1; b < arrays.size(); ++b) {
-      expected.push_back(joint_zero_counts(arrays[a], arrays[b]));
-    }
-  }
-
   for (const std::size_t tile_words :
        {std::size_t{0}, std::size_t{1}, std::size_t{3}, std::size_t{64},
         std::size_t{1 << 20}}) {
@@ -526,18 +518,25 @@ TEST(JointZeroCountsBatch, MatchesPerPairForEveryTileAndWorkerChoice) {
       options.tile_words = tile_words;
       options.workers = workers;
       BatchDecodeStats stats;
-      const std::vector<JointZeroCounts> got =
+      const BatchZeroCounts got =
           joint_zero_counts_batch(ptrs, options, &stats);
-      ASSERT_EQ(got.size(), expected.size());
-      for (std::size_t p = 0; p < expected.size(); ++p) {
-        EXPECT_EQ(got[p].size_small, expected[p].size_small)
-            << "tile=" << tile_words << " workers=" << workers << " pair "
-            << p;
-        EXPECT_EQ(got[p].size_large, expected[p].size_large);
-        EXPECT_EQ(got[p].zeros_small, expected[p].zeros_small);
-        EXPECT_EQ(got[p].zeros_large, expected[p].zeros_large);
-        EXPECT_EQ(got[p].zeros_or, expected[p].zeros_or);
-        EXPECT_EQ(got[p].words_scanned, expected[p].words_scanned);
+      ASSERT_EQ(got.ones_or.size(), arrays.size() * (arrays.size() - 1) / 2);
+      // Reference: the per-pair kernel, in both operand orders.
+      for (std::size_t a = 0; a < arrays.size(); ++a) {
+        for (std::size_t b = 0; b < arrays.size(); ++b) {
+          if (a == b) continue;
+          const JointZeroCounts expected =
+              joint_zero_counts(arrays[a], arrays[b]);
+          const JointZeroCounts pair = got.at(a, b);
+          EXPECT_EQ(pair.size_small, expected.size_small)
+              << "tile=" << tile_words << " workers=" << workers << " pair ("
+              << a << "," << b << ")";
+          EXPECT_EQ(pair.size_large, expected.size_large);
+          EXPECT_EQ(pair.zeros_small, expected.zeros_small);
+          EXPECT_EQ(pair.zeros_large, expected.zeros_large);
+          EXPECT_EQ(pair.zeros_or, expected.zeros_or);
+          EXPECT_EQ(pair.words_scanned, expected.words_scanned);
+        }
       }
       EXPECT_GT(stats.tile_words, 0u);
       EXPECT_GT(stats.tiles, 0u);
@@ -555,19 +554,19 @@ TEST(JointZeroCountsBatch, SubWordArraysUseTheFallback) {
   const BitArray tiny = patterned(16, 2, 1);
   const BitArray mid = patterned(256, 3, 0);
   const BitArray big = patterned(1024, 5, 2);
-  const std::vector<const BitArray*> ptrs{&tiny, &mid, &big};
+  const std::vector<const BitArray*> ptrs{&big, &tiny, &mid};
   BatchDecodeStats stats;
-  const std::vector<JointZeroCounts> got =
-      joint_zero_counts_batch(ptrs, {}, &stats);
-  ASSERT_EQ(got.size(), 3u);
+  const BatchZeroCounts got = joint_zero_counts_batch(ptrs, {}, &stats);
+  ASSERT_EQ(got.ones_or.size(), 3u);
   const JointZeroCounts tm = joint_zero_counts(tiny, mid);
   const JointZeroCounts tb = joint_zero_counts(tiny, big);
   const JointZeroCounts mb = joint_zero_counts(mid, big);
-  EXPECT_EQ(got[0].zeros_or, tm.zeros_or);
-  EXPECT_EQ(got[0].words_scanned, tm.words_scanned);
-  EXPECT_EQ(got[1].zeros_or, tb.zeros_or);
-  EXPECT_EQ(got[2].zeros_or, mb.zeros_or);
-  EXPECT_EQ(got[2].words_scanned, mb.words_scanned);
+  EXPECT_EQ(got.at(1, 2).zeros_or, tm.zeros_or);
+  EXPECT_EQ(got.at(1, 2).words_scanned, tm.words_scanned);
+  EXPECT_EQ(got.at(1, 0).zeros_or, tb.zeros_or);
+  EXPECT_EQ(got.at(1, 0).words_scanned, tb.words_scanned);
+  EXPECT_EQ(got.at(2, 0).zeros_or, mb.zeros_or);
+  EXPECT_EQ(got.at(2, 0).words_scanned, mb.words_scanned);
   EXPECT_EQ(stats.fallback_pairs, 2u);
   // Only the (mid, big) pair is tiled: neither array is reused, so no
   // DRAM pass is saved.

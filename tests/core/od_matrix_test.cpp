@@ -11,6 +11,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/encoder.h"
 #include "core/pair_simulation.h"
 #include "core/scheme.h"
@@ -181,6 +182,105 @@ TEST(OdMatrix, AtMatchesPerPairOracleForEveryKUpToEight) {
         EXPECT_EQ(got.floor_stddev, expected.floor_stddev);
         EXPECT_EQ(got.degraded, expected.degraded);
       }
+    }
+  }
+}
+
+bool same_cell(const EstimateInterval& x, const EstimateInterval& y) {
+  return x.n_c_hat == y.n_c_hat && x.stddev == y.stddev &&
+         x.lower == y.lower && x.upper == y.upper &&
+         x.floor_stddev == y.floor_stddev && x.degraded == y.degraded;
+}
+
+// Cell oracle at city-scale K. The smaller tests never take the sweep's
+// anchor-major order, so a slip in the all-pairs slot layout or in the
+// estimate's triangle walk may show only here: K = 613 with skewed
+// power-of-two sizes — sub-word arrays (8..32 bits) on the materializing
+// fallback, equal sizes at scattered indices, and two 2^16-bit giants
+// whose anchors straddle the worker cuts. With 7 workers one estimate
+// slice starts exactly at a row boundary and the others mid-row. Every
+// cell must equal the per-pair estimate bit for bit, and the decode
+// accounting the per-pair totals.
+TEST(OdMatrix, BlockedCellsMatchPerPairOracleAtCityScale) {
+  const char* pinned = std::getenv("VLM_DECODE");
+  if (pinned != nullptr && std::string_view(pinned) != "blocked") {
+    GTEST_SKIP() << "VLM_DECODE is pinned to another path";
+  }
+  constexpr std::size_t kRsus = 613;
+  common::Xoshiro256ss rng(0xC17E);
+  std::vector<std::size_t> sizes(kRsus);
+  for (std::size_t& m : sizes) {
+    m = rng.uniform(10) == 0 ? std::size_t{8} << rng.uniform(3)
+                             : std::size_t{128} << rng.uniform(5);
+  }
+  sizes[137] = sizes[411] = std::size_t{1} << 16;
+  // Vehicles from one pool hash to the same index modulo every
+  // power-of-two size, so pairs share real traffic; loads run from
+  // nearly empty to saturated.
+  std::vector<RsuState> states;
+  states.reserve(kRsus);
+  for (const std::size_t m : sizes) {
+    RsuState state(m);
+    const std::size_t visits = rng.uniform(2 * m + 1);
+    for (std::size_t i = 0; i < visits; ++i) {
+      state.record(
+          static_cast<std::size_t>(common::mix64(rng.uniform(40'000)) % m));
+    }
+    states.push_back(std::move(state));
+  }
+
+  const IntervalEstimator oracle(2, 1.96);
+  std::vector<EstimateInterval> expected;
+  expected.reserve(kRsus * (kRsus - 1) / 2);
+  std::size_t words = 0;
+  std::size_t saturated = 0;
+  // Per-pair DRAM loads of each array on the word-aligned (swept) pairs.
+  std::vector<std::size_t> loads(kRsus, 0);
+  for (std::size_t a = 0; a < kRsus; ++a) {
+    for (std::size_t b = a + 1; b < kRsus; ++b) {
+      PairEstimate point;
+      expected.push_back(oracle.estimate(states[a], states[b], &point));
+      words += point.words_scanned;
+      saturated += point.saturated ? 1 : 0;
+      if (std::min(sizes[a], sizes[b]) % 64 == 0) {
+        ++loads[a];
+        ++loads[b];
+      }
+    }
+  }
+  std::size_t passes_saved = 0;
+  for (const std::size_t n : loads) passes_saved += n > 0 ? n - 1 : 0;
+  ASSERT_GT(saturated, 0u);
+
+  for (const std::size_t tile_words : {std::size_t{0}, std::size_t{1}}) {
+    for (const unsigned workers : {1u, 2u, 4u, 7u}) {
+      DecodeOptions options;
+      options.mode = DecodeMode::kBlocked;
+      options.tile_words = tile_words;
+      options.workers = workers;
+      DecodeStats stats;
+      const OdMatrix matrix =
+          estimate_od_matrix(states, 2, 1.96, options, &stats);
+      std::size_t mismatches = 0;
+      std::size_t p = 0;
+      for (std::size_t a = 0; a < kRsus; ++a) {
+        for (std::size_t b = a + 1; b < kRsus; ++b, ++p) {
+          if (same_cell(matrix.at(a, b), expected[p])) continue;
+          if (mismatches++ == 0) {
+            ADD_FAILURE() << "tile_words=" << tile_words
+                          << " workers=" << workers << " first mismatch at ("
+                          << a << "," << b << "): n_c_hat "
+                          << matrix.at(a, b).n_c_hat << " vs "
+                          << expected[p].n_c_hat;
+          }
+        }
+      }
+      EXPECT_EQ(mismatches, 0u)
+          << "tile_words=" << tile_words << " workers=" << workers;
+      EXPECT_EQ(stats.pairs_decoded, expected.size());
+      EXPECT_EQ(stats.words_scanned, words);
+      EXPECT_EQ(stats.pairs_saturated, saturated);
+      EXPECT_EQ(stats.dram_passes_saved, passes_saved);
     }
   }
 }

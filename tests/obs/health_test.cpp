@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <span>
@@ -262,6 +263,64 @@ TEST(HealthTest, SaturatedPairCountsAsDegraded) {
   EXPECT_EQ(summary.rsus_saturated, 2u);
   EXPECT_EQ(summary.pairs_assessed, 0u);
   EXPECT_EQ(summary.pairs_degraded, 1u);
+}
+
+// Pair health walks the cells in fixed 4096-cell slices reduced in slice
+// order, so its summary must not depend on the worker count — down to
+// the last bit of the mean — and its counts and max must equal a serial
+// recount over the cells.
+TEST(HealthTest, PairSummaryDoesNotDependOnWorkerCount) {
+  // 160 RSUs: 12,720 cells, four slices. Each RSU shares a road with its
+  // neighbor, so the matrix mixes assessed and degraded cells.
+  constexpr std::size_t kRsus = 160;
+  std::uint64_t h = 0x5111CE;
+  std::vector<core::RsuState> states;
+  std::vector<std::size_t> road;
+  for (std::size_t r = 0; r < kRsus; ++r) {
+    std::vector<std::size_t> shared = road;
+    road.clear();
+    for (int i = 0; i < 120; ++i) {
+      road.push_back(static_cast<std::size_t>(common::mix64(++h) % 1024));
+    }
+    shared.insert(shared.end(), road.begin(), road.end());
+    states.push_back(make_state(1024, 150, shared, h));
+  }
+  const core::OdMatrix matrix = core::estimate_od_matrix(states, 2, 1.96, 4);
+  ASSERT_GT(matrix.stored_cells(), 3u * 4096u);
+
+  std::size_t assessed = 0;
+  std::size_t degraded = 0;
+  double max = 0.0;
+  for (std::size_t a = 0; a < kRsus; ++a) {
+    for (std::size_t b = a + 1; b < kRsus; ++b) {
+      const core::EstimateInterval& cell = matrix.at(a, b);
+      const double rel_err = cell.stddev / cell.n_c_hat;
+      if (cell.degraded || !(cell.n_c_hat > 0.0) || !std::isfinite(rel_err)) {
+        ++degraded;
+        continue;
+      }
+      ++assessed;
+      max = std::max(max, rel_err);
+    }
+  }
+  ASSERT_GT(assessed, 0u);
+  ASSERT_GT(degraded, 0u);
+
+  HealthSummary serial;
+  assess_pairs(matrix, serial, 1);
+  EXPECT_EQ(serial.pairs_assessed, assessed);
+  EXPECT_EQ(serial.pairs_degraded, degraded);
+  EXPECT_EQ(serial.max_predicted_rel_err, max);
+  for (const unsigned workers : {2u, 4u, 7u}) {
+    HealthSummary summary;
+    assess_pairs(matrix, summary, workers);
+    EXPECT_EQ(summary.pairs_assessed, serial.pairs_assessed) << workers;
+    EXPECT_EQ(summary.pairs_degraded, serial.pairs_degraded) << workers;
+    EXPECT_EQ(summary.max_predicted_rel_err, serial.max_predicted_rel_err);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(summary.mean_predicted_rel_err),
+              std::bit_cast<std::uint64_t>(serial.mean_predicted_rel_err))
+        << workers;
+  }
 }
 
 TEST(HealthTest, FormatSummaryMentionsPairsOnlyWhenAssessed) {

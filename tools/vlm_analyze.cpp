@@ -240,7 +240,7 @@ int main(int argc, char** argv) {
       core::DecodeStats decode_stats;
       const core::OdMatrix matrix =
           core::estimate_od_matrix(states, s, z, decode_options, &decode_stats);
-      obs::health::assess_pairs(matrix, health_summary);
+      obs::health::assess_pairs(matrix, health_summary, decode_stats.workers);
       struct Flow {
         std::size_t a, b;
         double estimate;
