@@ -142,16 +142,14 @@ int main(int argc, char** argv) {
   // pre-refactor releases; batch runs feed the bulk CSR form the pipeline
   // is designed around (a test pins that the two forms are bit-identical).
   auto run_sharded = [&](unsigned w, vcps::IngestMode mode, double& seconds,
-                         vcps::IngestStats* stats_out,
-                         vcps::PipelineMode pipeline =
-                             vcps::PipelineMode::kAuto) {
+                         vcps::IngestStats* stats_out) {
     auto sim = std::make_unique<vcps::VcpsSimulation>(sim_config, sites);
     sim->begin_period();
     const obs::Stopwatch t0;
     const vcps::IngestStats stats =
         mode == vcps::IngestMode::kBatch
-            ? sim->drive_vehicles(vehicles, bulk_provider, w, mode, pipeline)
-            : sim->drive_vehicles(vehicles, provider, w, mode, pipeline);
+            ? sim->drive_vehicles(vehicles, bulk_provider, w, mode)
+            : sim->drive_vehicles(vehicles, provider, w, mode);
     seconds = t0.seconds();
     sim->end_period();
     if (stats_out != nullptr) *stats_out = stats;
@@ -187,21 +185,6 @@ int main(int argc, char** argv) {
     double s = 0.0;
     const auto batch_w = run_sharded(w, vcps::IngestMode::kBatch, s, nullptr);
     batch_identical = batch_identical && reports_identical(*serial, *batch_w);
-  }
-
-  // Pipeline acceptance gate: the overlap schedule (and the off schedule
-  // it must match) produce serial-identical reports at every checked
-  // worker count — the stage schedule is a pure locality decision.
-  bool pipelined_identical = true;
-  for (const auto pipeline :
-       {vcps::PipelineMode::kOff, vcps::PipelineMode::kOverlap}) {
-    for (const unsigned w : {1u, 2u, std::max(2u, workers / 2)}) {
-      double s = 0.0;
-      const auto batch_w =
-          run_sharded(w, vcps::IngestMode::kBatch, s, nullptr, pipeline);
-      pipelined_identical =
-          pipelined_identical && reports_identical(*serial, *batch_w);
-    }
   }
 
   // Raw kernel: batch-encode every vehicle against the busiest RSU —
@@ -253,8 +236,9 @@ int main(int argc, char** argv) {
   // compiles down to one relaxed load of the trace-enabled flag when the
   // recorder is off (the state all the timed runs above executed in).
   // Measure that per-check cost directly, count the checks a parallel
-  // batch period performs (four per-stage scopes per 16 Ki-vehicle
-  // sub-slice, plus the Span sites and the pool queue-wait probes), and
+  // batch period performs (three encode-stage scopes per 16 Ki-vehicle
+  // sub-slice and one scatter scope per owner per round, plus the Span
+  // sites and the pool queue-wait probes), and
   // bound the fraction of the timed run they can account for. The gate
   // feeds the exit status: instrumentation that stops being free when
   // disabled fails the bench.
@@ -284,19 +268,11 @@ int main(int argc, char** argv) {
   };
   // Per-stage throughput from the timed parallel batch run (stage
   // seconds are summed across workers, so this is the aggregate rate the
-  // stage sustained over the period), and the overlap-efficiency ratio:
-  // the fraction of the sub-slice loop spent inside stage work. A stage
-  // the channel skips entirely (loss-free) reports 0 rather than inf.
+  // stage sustained over the period). A stage the channel skips entirely
+  // (loss-free) reports 0 rather than inf.
   const auto stage_per_sec = [&](double seconds) {
     return seconds > 0.0 ? static_cast<double>(vehicles) / seconds : 0.0;
   };
-  const double stage_total_seconds =
-      batch_stats.materialize_seconds + batch_stats.hash_seconds +
-      batch_stats.channel_seconds + batch_stats.scatter_seconds;
-  const double overlap_efficiency =
-      batch_stats.pipeline_seconds > 0.0
-          ? stage_total_seconds / batch_stats.pipeline_seconds
-          : 0.0;
   std::printf(
       "{\"rsus\": %zu, \"vehicles\": %llu, \"workers\": %u, \"exchanges\": "
       "%llu,\n"
@@ -313,12 +289,10 @@ int main(int argc, char** argv) {
       " \"speedup_batch_serial\": %.2f,\n"
       " \"speedup_batch_parallel\": %.2f,\n"
       " \"batch_vehicles_per_second\": %.0f,\n"
-      " \"batch_pipeline\": \"%s\",\n"
       " \"batch_stage_seconds\": {\"materialize\": %.6f, \"hash\": %.6f, "
       "\"channel\": %.6f, \"scatter\": %.6f},\n"
       " \"batch_stage_vehicles_per_second\": {\"materialize\": %.0f, "
       "\"hash\": %.0f, \"channel\": %.0f, \"scatter\": %.0f},\n"
-      " \"pipeline_overlap_efficiency\": %.3f,\n"
       " \"trace_disabled_scope_ns\": %.3f,\n"
       " \"trace_disabled_overhead\": %.6f,\n"
       " \"trace_disabled_overhead_ok\": %s,\n"
@@ -327,7 +301,6 @@ int main(int argc, char** argv) {
       " \"raw_encode_parallel_vehicles_per_second\": %.0f,\n"
       " \"reports_bit_identical\": %s,\n"
       " \"batch_bit_identical_to_serial\": %s,\n"
-      " \"pipelined_bit_identical_to_serial\": %s,\n"
       " \"raw_bits_identical\": %s,\n"
       " \"metrics\": %s}\n",
       k, static_cast<unsigned long long>(vehicles), parallel_stats.workers,
@@ -338,21 +311,19 @@ int main(int argc, char** argv) {
       per_sec(serial_best), per_sec(sharded_parallel_best), batch_serial_best,
       batch_parallel_best, serial_best / batch_serial_best,
       serial_best / batch_parallel_best, per_sec(batch_parallel_best),
-      batch_stats.pipeline,
       batch_stats.materialize_seconds, batch_stats.hash_seconds,
       batch_stats.channel_seconds, batch_stats.scatter_seconds,
       stage_per_sec(batch_stats.materialize_seconds),
       stage_per_sec(batch_stats.hash_seconds),
       stage_per_sec(batch_stats.channel_seconds),
-      stage_per_sec(batch_stats.scatter_seconds), overlap_efficiency,
+      stage_per_sec(batch_stats.scatter_seconds),
       trace_scope_ns, trace_disabled_overhead,
       trace_overhead_ok ? "true" : "false",
       raw_serial_best, raw_parallel_best, per_sec(raw_parallel_best),
       identical ? "true" : "false", batch_identical ? "true" : "false",
-      pipelined_identical ? "true" : "false", raw_identical ? "true" : "false",
+      raw_identical ? "true" : "false",
       obs::to_json(obs::MetricsRegistry::global().snapshot(), {}, 2).c_str());
-  return identical && batch_identical && pipelined_identical &&
-                 raw_identical && trace_overhead_ok
+  return identical && batch_identical && raw_identical && trace_overhead_ok
              ? 0
              : 1;
 }

@@ -136,6 +136,24 @@ void BitArray::set_bulk(std::span<const std::size_t> indices) {
   ones_stale_ = false;
 }
 
+void BitArray::set_bulk(std::span<const std::size_t> indices,
+                        std::span<const std::uint8_t> deliveries) {
+  VLM_REQUIRE(indices.size() == deliveries.size(),
+              "every index needs a delivery count");
+  const std::size_t n = indices.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i + 32 < n) {
+      __builtin_prefetch(&words_[indices[i + 32] / kWordBits], 1, 1);
+    }
+    const std::size_t index = indices[i];
+    VLM_REQUIRE(index < bit_count_, "bit index out of range");
+    // Branch-free: a lost reply ORs in a zero.
+    words_[index / kWordBits] |=
+        std::uint64_t{deliveries[i] != 0} << (index % kWordBits);
+  }
+  if (n > 0) ones_stale_ = true;
+}
+
 ShardedBitArray::ShardedBitArray(std::size_t bit_count, unsigned shard_count) {
   VLM_REQUIRE(shard_count >= 1, "need at least one shard");
   shards_.reserve(shard_count);
@@ -182,31 +200,6 @@ std::vector<std::uint8_t> BitArray::to_bytes() const {
     }
     return bytes;
   }
-}
-
-std::size_t BitArray::serialized_ones(std::size_t bit_count,
-                                      std::span<const std::uint8_t> bytes) {
-  VLM_REQUIRE(bit_count > 0, "bit array must have at least one bit");
-  VLM_REQUIRE(bytes.size() == (bit_count + 7) / 8,
-              "byte buffer does not match the declared bit count");
-  // Trailing bits past bit_count (all in the final byte) must stay zero;
-  // a buffer that sets them would silently corrupt zero counting.
-  VLM_REQUIRE(bit_count % 8 == 0 || (bytes.back() >> (bit_count % 8)) == 0,
-              "byte buffer sets bits past the declared bit count");
-  // The popcount kernel reads words: stage the bytes through an
-  // L1-resident word buffer, zero-padding the final partial word.
-  constexpr std::size_t kChunkWords = 512;
-  std::uint64_t chunk[kChunkWords];
-  const kernels::KernelTable& table = kernels::active();
-  std::size_t ones = 0;
-  for (std::size_t b = 0; b < bytes.size(); b += sizeof(chunk)) {
-    const std::size_t len = std::min(bytes.size() - b, sizeof(chunk));
-    const std::size_t words = (len + 7) / 8;
-    chunk[words - 1] = 0;
-    std::memcpy(chunk, bytes.data() + b, len);
-    ones += table.popcount(chunk, words);
-  }
-  return ones;
 }
 
 namespace {
@@ -653,12 +646,38 @@ BatchZeroCounts joint_zero_counts_batch(
 
 BitArray BitArray::from_bytes(std::size_t bit_count,
                               std::span<const std::uint8_t> bytes) {
-  const std::size_t ones = serialized_ones(bit_count, bytes);
-  BitArray out(bit_count);
-  for (std::size_t b = 0; b < bytes.size(); ++b) {
-    out.words_[b / 8] |= static_cast<std::uint64_t>(bytes[b]) << ((b % 8) * 8);
+  VLM_REQUIRE(bit_count > 0, "bit array must have at least one bit");
+  VLM_REQUIRE(bytes.size() == (bit_count + 7) / 8,
+              "byte buffer does not match the declared bit count");
+  // Trailing bits past bit_count (all in the final byte) must stay zero;
+  // a buffer that sets them would silently corrupt zero counting.
+  VLM_REQUIRE(bit_count % 8 == 0 || (bytes.back() >> (bit_count % 8)) == 0,
+              "byte buffer sets bits past the declared bit count");
+  BitArray out;
+  out.bit_count_ = bit_count;
+  out.words_.resize(word_count_for(bit_count));
+  out.words_.back() = 0;  // the padding past the last byte
+  const kernels::KernelTable& table = kernels::active();
+  if constexpr (std::endian::native == std::endian::little) {
+    // The bytes are the words' memory layout (see to_bytes): copy them in
+    // L1-sized chunks and count each chunk while it is hot, so the buffer
+    // is read once and the words are written once.
+    constexpr std::size_t kChunkBytes = 4096;
+    auto* dst = reinterpret_cast<std::uint8_t*>(out.words_.data());
+    std::size_t ones = 0;
+    for (std::size_t b = 0; b < bytes.size(); b += kChunkBytes) {
+      const std::size_t len = std::min(bytes.size() - b, kChunkBytes);
+      std::memcpy(dst + b, bytes.data() + b, len);
+      ones += table.popcount(out.words_.data() + b / 8, (len + 7) / 8);
+    }
+    out.ones_ = ones;
+  } else {
+    std::fill(out.words_.begin(), out.words_.end(), 0);
+    for (std::size_t b = 0; b < bytes.size(); ++b) {
+      out.words_[b / 8] |= static_cast<std::uint64_t>(bytes[b]) << ((b % 8) * 8);
+    }
+    out.ones_ = table.popcount(out.words_.data(), out.words_.size());
   }
-  out.ones_ = ones;
   return out;
 }
 

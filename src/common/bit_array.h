@@ -42,6 +42,13 @@ class BitArray {
   // O(m/64) per call.
   void set_bulk(std::span<const std::size_t> indices);
 
+  // Lossy-channel form: sets indices[i] for every i with deliveries[i]
+  // > 0 (a lost reply sets nothing; a duplicated one sets its bit once).
+  // Always defers the ones count, like a small set_bulk batch. The spans
+  // must have equal length.
+  void set_bulk(std::span<const std::size_t> indices,
+                std::span<const std::uint8_t> deliveries);
+
   // Clears every bit (start of a new measurement period).
   void reset();
 
@@ -86,18 +93,13 @@ class BitArray {
   // bytes, bit i in byte i/8 at position i%8 (the words' little-endian
   // layout, so little-endian hosts copy the words as they are).
   std::vector<std::uint8_t> to_bytes() const;
-  // Rebuilds an array from to_bytes output; throws std::invalid_argument
-  // on every buffer serialized_ones rejects.
+  // Rebuilds an array from to_bytes output: on little-endian hosts one
+  // word copy that counts the ones as it goes, so the result's count is
+  // clean. Throws std::invalid_argument unless `bit_count` is positive,
+  // the buffer is exactly ceil(bit_count/8) bytes, and no bit at or past
+  // `bit_count` is set.
   static BitArray from_bytes(std::size_t bit_count,
                              std::span<const std::uint8_t> bytes);
-
-  // Checks a to_bytes buffer in place and returns its ones count, without
-  // building an array: the buffer must be exactly ceil(bit_count/8) bytes
-  // with no bit set at or past `bit_count`, and `bit_count` must be
-  // positive. Throws std::invalid_argument otherwise. from_bytes runs the
-  // same checks, so a buffer this accepts always rebuilds.
-  static std::size_t serialized_ones(std::size_t bit_count,
-                                     std::span<const std::uint8_t> bytes);
 
  private:
   static std::size_t word_count_for(std::size_t bits) {
@@ -112,7 +114,9 @@ class BitArray {
   // every cross-thread hand-off (merge, serialization) recounts.
   mutable std::size_t ones_ = 0;
   mutable bool ones_stale_ = false;
-  std::vector<std::uint64_t> words_;
+  // Zeroed explicitly by the sizing constructor; from_bytes overwrites
+  // every word instead of zeroing first.
+  UninitVector<std::uint64_t> words_;
 };
 
 // One bit array per worker over the same index space. Each ingest worker

@@ -45,6 +45,12 @@ void RsuState::record_bulk(std::span<const std::size_t> indices) {
   counter_ += indices.size();
 }
 
+void RsuState::record_bulk(std::span<const std::size_t> indices,
+                           std::span<const std::uint8_t> deliveries) {
+  bits_.set_bulk(indices, deliveries);
+  for (const std::uint8_t d : deliveries) counter_ += d;
+}
+
 void RsuState::merge(const RsuState& other) {
   VLM_REQUIRE(array_size() == other.array_size(),
               "can only merge states with equal array sizes");

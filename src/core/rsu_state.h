@@ -33,6 +33,12 @@ class RsuState {
   // two record() calls.
   void record_bulk(std::span<const std::size_t> indices);
 
+  // Lossy-channel form: indices[i] arrived deliveries[i] times (0 = lost,
+  // 2 = duplicated), exactly like that many record() calls. The spans
+  // must have equal length.
+  void record_bulk(std::span<const std::size_t> indices,
+                   std::span<const std::uint8_t> deliveries);
+
   // Merges a sub-period collected elsewhere for the SAME RSU (sharded or
   // failover collection): counters add, bit arrays OR. Both states must
   // have the same array size. Merging states of two DIFFERENT RSUs would

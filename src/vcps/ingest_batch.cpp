@@ -20,7 +20,6 @@ void ExchangeColumns::reset(std::size_t rsu_count) {
   key_cursors.clear();
   key_ends.clear();
   number_cursors.clear();
-  scatter.clear();
 }
 
 void materialize_exchanges(std::uint64_t seed, std::uint64_t base,
@@ -121,30 +120,16 @@ void draw_channel_outcomes(const DsrcChannel& channel, std::uint64_t period,
   }
 }
 
-std::uint64_t scatter_into_shards(std::span<const RsuIngestContext> rsus,
-                                  ExchangeColumns& columns,
-                                  std::span<core::RsuState> shard) {
-  std::uint64_t recorded = 0;
-  for (std::size_t r = 0; r < rsus.size(); ++r) {
-    RsuExchangeBucket& bucket = columns.buckets[r];
-    if (!rsus[r].replies_answered || bucket.bit_indices.empty()) continue;
-    if (bucket.deliveries.empty()) {
-      // Loss-free fast path: every exchange delivered exactly once.
-      shard[r].record_bulk(bucket.bit_indices);
-      recorded += bucket.bit_indices.size();
-      continue;
-    }
-    columns.scatter.clear();
-    for (std::size_t i = 0; i < bucket.bit_indices.size(); ++i) {
-      const std::uint8_t deliveries = bucket.deliveries[i];
-      for (std::uint8_t d = 0; d < deliveries; ++d) {
-        columns.scatter.push_back(bucket.bit_indices[i]);
-      }
-    }
-    shard[r].record_bulk(columns.scatter);
-    recorded += columns.scatter.size();
+std::uint64_t scatter_bucket(const RsuExchangeBucket& bucket, Rsu& rsu) {
+  if (bucket.bit_indices.empty()) return 0;
+  const std::uint64_t before = rsu.state().counter();
+  if (bucket.deliveries.empty()) {
+    // Loss-free fast path: every exchange delivered exactly once.
+    rsu.record_bulk(bucket.bit_indices);
+  } else {
+    rsu.record_bulk(bucket.bit_indices, bucket.deliveries);
   }
-  return recorded;
+  return rsu.state().counter() - before;
 }
 
 }  // namespace vlm::vcps

@@ -2,29 +2,36 @@
 //
 // The per-vehicle object loop spends its time on dispatch, not bit work:
 // one Vehicle construction, one certificate check, one scalar hash pair,
-// and one channel draw per exchange. This module restructures a worker's
-// vehicle slice into four flat stages so each cost is paid per batch
-// instead of per exchange:
+// and one channel draw per exchange. This module restructures ingest
+// into four flat stages so each cost is paid per batch instead of per
+// exchange. drive_vehicles runs them in rounds of two pool regions:
 //
-//   1. materialize  one bulk CSR itinerary call per slice -> per-RSU SoA
-//                   buckets of (masked key, vehicle number) exchange
+//   region 1, one sub-slice of vehicles per worker, into the worker's
+//   own ExchangeColumns:
+//   1. materialize  one bulk CSR itinerary call per sub-slice -> per-RSU
+//                   SoA buckets of (masked key, vehicle number) exchange
 //                   tuples, sized exactly from the provider's fused
 //                   per-RSU histogram (no second scan of the CSR); the
-//                   slice's masked keys come from one batched
+//                   sub-slice's masked keys come from one batched
 //                   synthetic_masked_keys derivation and each is reused
 //                   for all of that vehicle's visits
 //   2. hash         per bucket, every bit index in one encode_batch
 //                   kernel call (vectorized two-round splitmix64)
 //   3. channel      per bucket, every query/reply/duplicate outcome in
 //                   one DsrcChannel::draws_for_batch call
-//   4. scatter      surviving deliveries -> RsuState::record_bulk (the
-//                   set_scatter kernel) into the worker's shard
+//
+//   region 2, one contiguous run of RSUs per owner:
+//   4. scatter      every worker's bucket of each owned RSU -> the RSU's
+//                   own array through Rsu::record_bulk, so each array
+//                   has exactly one writer per round and no worker
+//                   shards exist
 //
 // Hash-domain invariant: stages 2 and 3 evaluate exactly the hashes the
 // serial path evaluates — the encoder's (masked_key, RSU, salt) domains
-// and the channel's (seed, period, vehicle number, RSU) domains — so the
-// resulting bits, counters, and channel tallies are bit-identical to the
-// per-vehicle loop for every worker count and every channel config. The
+// and the channel's (seed, period, vehicle number, RSU) domains — and
+// bits OR while counters add, so the resulting bits, counters, and
+// channel tallies are bit-identical to the per-vehicle loop for every
+// worker count, round cut and owner cut, and every channel config. The
 // ParallelIngest/BatchIngest suites are the acceptance gate.
 #pragma once
 
@@ -35,20 +42,20 @@
 
 #include "common/uninit.h"
 #include "core/encoder.h"
-#include "core/rsu_state.h"
 #include "core/types.h"
 #include "vcps/channel.h"
+#include "vcps/rsu.h"
 #include "vcps/simulation.h"
 
 namespace vlm::vcps {
 
 // One RSU position's columnar exchange tuples plus per-stage scratch,
-// all in slice order (ascending vehicle number — the order the serial
+// all in sub-slice order (ascending vehicle number — the order the serial
 // loop visits them, though every stage is order-independent).
 // Columns use UninitVector: each is sized exactly (counting pass or
 // element-for-element from a sibling column) and then every slot is
 // written before any read, so the resize() zero-fill of a plain vector
-// would re-touch tens of MB per worker per period for nothing.
+// would re-touch the columns every round for nothing.
 struct RsuExchangeBucket {
   common::UninitVector<std::uint64_t> masked_keys;  // stage 1
   // Stage 1, only when the channel is lossy — the loss-free path never
@@ -62,16 +69,16 @@ struct RsuExchangeBucket {
   common::UninitVector<std::uint8_t> deliveries;
 };
 
-// One worker's buckets (index = RSU position), reused across calls so
-// steady-state ingest does not reallocate.
+// One worker's buckets (index = RSU position), reused across rounds and
+// calls so steady-state ingest does not reallocate.
 struct ExchangeColumns {
   std::vector<RsuExchangeBucket> buckets;
-  // Stage 1 scratch: the slice's itineraries in CSR layout (see
+  // Stage 1 scratch: the sub-slice's itineraries in CSR layout (see
   // BulkItineraryProvider) and one write cursor per RSU.
   common::UninitVector<std::uint32_t> flat_positions;
   std::vector<std::uint64_t> offsets;
   // Stage 1 scratch: the provider's per-RSU visit histogram (bucket
-  // sizes) and the slice's batched masked keys, one per vehicle.
+  // sizes) and the sub-slice's batched masked keys, one per vehicle.
   std::vector<std::uint64_t> counts;
   common::UninitVector<std::uint64_t> masked_keys;
   // Stage 1 scratch: per-RSU bump-pointer write cursors into the bucket
@@ -79,7 +86,6 @@ struct ExchangeColumns {
   std::vector<std::uint64_t*> key_cursors;
   std::vector<std::uint64_t*> key_ends;
   std::vector<std::uint64_t*> number_cursors;
-  std::vector<std::size_t> scatter;  // stage 4 scratch (lossy channel)
 
   // Sizes `buckets` to rsu_count and clears every column.
   void reset(std::size_t rsu_count);
@@ -129,13 +135,13 @@ void draw_channel_outcomes(const DsrcChannel& channel, std::uint64_t period,
                            std::span<const RsuIngestContext> rsus,
                            ExchangeColumns& columns, ChannelTally& tally);
 
-// Stage 4 — scatter: records every surviving delivery (a count-2
-// delivery lands its bit index twice, so the shard counter matches the
-// serial loop's two record() calls) into shard[position] via
-// record_bulk. Returns the number of recorded deliveries — the slice's
-// IngestStats::exchanges contribution.
-std::uint64_t scatter_into_shards(std::span<const RsuIngestContext> rsus,
-                                  ExchangeColumns& columns,
-                                  std::span<core::RsuState> shard);
+// Stage 4 — scatter, run by the RSU's owner: records every surviving
+// delivery in one worker's `bucket` into `rsu` through Rsu::record_bulk
+// (a count-2 delivery sets its bit once and counts twice, like the
+// serial loop's two record() calls). Returns the number of recorded
+// deliveries — the bucket's IngestStats::exchanges contribution. The
+// bucket of an RSU that vehicles reject holds no bit indices and
+// records nothing.
+std::uint64_t scatter_bucket(const RsuExchangeBucket& bucket, Rsu& rsu);
 
 }  // namespace vlm::vcps

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "core/rsu_state.h"
 #include "core/types.h"
@@ -31,9 +32,21 @@ class Rsu {
   // Merges a worker shard collected for THIS RSU during the current
   // period (counters add, bit arrays OR — order-independent), plus the
   // malformed-reply count the worker tallied. The shard's array size
-  // must match the RSU's current size.
+  // must match the RSU's current size. The scalar ingest engine's merge.
   void absorb_shard(const core::RsuState& shard,
                     std::uint64_t invalid_replies);
+
+  // The batch ingest engine's owner pass: records replies whose bit
+  // indices were hashed against this RSU's current array size, each
+  // delivered once, or deliveries[i] times (RsuState::record_bulk). The
+  // ones count is deferred until the next read of it.
+  void record_bulk(std::span<const std::size_t> bit_indices) {
+    state_.record_bulk(bit_indices);
+  }
+  void record_bulk(std::span<const std::size_t> bit_indices,
+                   std::span<const std::uint8_t> deliveries) {
+    state_.record_bulk(bit_indices, deliveries);
+  }
 
   RsuReport make_report(std::uint64_t period) const;
 

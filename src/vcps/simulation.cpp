@@ -1,7 +1,7 @@
 #include "vcps/simulation.h"
 
 #include <algorithm>
-#include <array>
+#include <span>
 
 #include "common/env_override.h"
 #include "common/hashing.h"
@@ -25,10 +25,10 @@ constexpr std::uint64_t kCertLifetimePeriods = 1'000'000;
 // Ingest-side metrics. IngestStats is the per-call view over these atoms
 // (same increments, same sites — a test pins the equivalence). All
 // handles register together on the first period, so the exported key set
-// is identical for every worker count: the per-worker encode time lands
-// in ONE histogram whose count is the number of workers, never in
-// per-worker keys. The four stage histograms record only on the batch
-// path (one sample per worker per stage).
+// is identical for every worker count and engine: the per-worker encode
+// time lands in ONE histogram whose count is the number of workers, never
+// in per-worker keys. The four stage histograms record only on the batch
+// path (one sample per worker, or per owner for scatter, per call).
 struct IngestMetrics {
   obs::Counter& vehicles;
   obs::Counter& exchanges;
@@ -40,21 +40,23 @@ struct IngestMetrics {
   obs::Histogram& period_begin;   // begin_period(): sizing + RSU resets
   obs::Histogram& period_ingest;  // one whole drive_vehicles() call
   obs::Histogram& period_close;   // end_period(): reports into the server
-  obs::Histogram& encode_worker;  // per-worker protocol/encode slice time
-  obs::Histogram& shard_merge;    // OR-merging worker shards into RSUs
+  obs::Histogram& encode_worker;  // per-worker encode time of one call
+  // One per call: the scalar engine's shard merge, or the wall time of
+  // the batch engine's owner passes (all rounds).
+  obs::Histogram& shard_merge;
   obs::Histogram& stage_materialize;  // batch stage 1 per worker
   obs::Histogram& stage_hash;         // batch stage 2 per worker
   obs::Histogram& stage_channel;      // batch stage 3 per worker
-  obs::Histogram& stage_scatter;      // batch stage 4 per worker
-  // Per-worker wall time of the overlap schedule's sub-slice loop
-  // (records only under PipelineMode::kOverlap — the off schedule has
-  // no such loop).
-  obs::Histogram& pipeline_overlap;
+  obs::Histogram& stage_scatter;      // batch stage 4 per owner
 };
 
 IngestMetrics& ingest_metrics() {
   static IngestMetrics* metrics = [] {
     obs::MetricsRegistry& r = obs::MetricsRegistry::global();
+    // Counted by Rsu::absorb_shard, which only the scalar engine calls;
+    // registered here so both engines export the same key set.
+    r.counter("ingest/shards_absorbed");
+    r.counter("ingest/invalid_replies");
     return new IngestMetrics{r.counter("ingest/vehicles"),
                              r.counter("ingest/exchanges"),
                              r.counter("channel/queries_lost"),
@@ -70,10 +72,13 @@ IngestMetrics& ingest_metrics() {
                              obs::phase("ingest/materialize"),
                              obs::phase("ingest/hash"),
                              obs::phase("ingest/channel"),
-                             obs::phase("ingest/scatter"),
-                             obs::phase("ingest/pipeline_overlap")};
+                             obs::phase("ingest/scatter")};
   }();
   return *metrics;
+}
+
+std::uint64_t nanos(double seconds) {
+  return static_cast<std::uint64_t>(seconds * 1e9);
 }
 
 // VLM_INGEST=scalar|batch|auto steers how IngestMode::kAuto resolves
@@ -94,25 +99,29 @@ IngestMode apply_env_override(IngestMode mode) {
   return static_cast<IngestMode>(parsed);
 }
 
-// VLM_INGEST_PIPELINE=off|overlap|auto steers how PipelineMode::kAuto
-// resolves, with the same explicit-request-wins rule as VLM_INGEST (the
-// pipeline suites pin kOff and kOverlap side by side).
-PipelineMode apply_pipeline_override(PipelineMode pipeline) {
-  static constexpr common::EnvEnumChoice kChoices[] = {
-      {"off", static_cast<int>(PipelineMode::kOff)},
-      {"overlap", static_cast<int>(PipelineMode::kOverlap)},
-      {"auto", static_cast<int>(PipelineMode::kAuto)}};
-  static const int parsed =
-      common::parse_env_enum("VLM_INGEST_PIPELINE", kChoices, -1);
-  if (pipeline != PipelineMode::kAuto || parsed < 0) return pipeline;
-  return static_cast<PipelineMode>(parsed);
-}
+// Vehicles per worker per batch-engine round. Sized so one sub-slice's
+// exchange tuples (~3 visits x 16-25 bytes per vehicle) plus the
+// itinerary CSR stay comfortably inside a per-core L2, so the hash and
+// channel stages read tuples materialize just wrote, and the owners'
+// scatter reads them back from the last-level cache.
+constexpr std::size_t kRoundSubSlice = 16384;
 
-// Vehicles per pipelined sub-slice. Sized so one sub-slice's exchange
-// tuples (~3 visits x 16-24 bytes per vehicle) plus the itinerary CSR
-// stay comfortably inside a per-core L2, which is the whole point of the
-// overlap schedule.
-constexpr std::size_t kPipelineSubSlice = 16384;
+// Cuts RSU positions [0, K) into `runs` contiguous runs of about equal
+// weight, run o being [cuts[o], cuts[o + 1]). `prefix` holds the K + 1
+// running totals of the per-RSU weights. Runs hold whole RSUs, so one
+// outweighing its share leaves a neighbouring run empty. The cuts are a
+// pure function of the weights.
+void cut_runs(std::span<const std::uint64_t> prefix, unsigned runs,
+              std::vector<std::size_t>& cuts) {
+  cuts.assign(runs + 1, prefix.size() - 1);
+  for (unsigned o = 0; o < runs; ++o) {
+    // Run o starts at the first RSU whose running total reaches o shares.
+    const std::uint64_t share = prefix.back() * o / runs;
+    cuts[o] = static_cast<std::size_t>(
+        std::lower_bound(prefix.begin(), prefix.end(), share) -
+        prefix.begin());
+  }
+}
 
 // Adapts the per-vehicle itinerary form to the bulk CSR form both ingest
 // engines consume. Pays the per-vehicle function call the bulk form
@@ -156,6 +165,8 @@ VcpsSimulation::VcpsSimulation(const SimulationConfig& config,
                        server_.array_size_for(site.id));
   }
 }
+
+VcpsSimulation::~VcpsSimulation() = default;
 
 const Rsu& VcpsSimulation::rsu(std::size_t position) const {
   VLM_REQUIRE(position < rsus_.size(), "RSU position out of range");
@@ -201,237 +212,44 @@ std::size_t VcpsSimulation::drive_vehicle_as(
 
 IngestStats VcpsSimulation::drive_vehicles(std::uint64_t count,
                                            const ItineraryProvider& itinerary,
-                                           unsigned workers, IngestMode mode,
-                                           PipelineMode pipeline) {
+                                           unsigned workers, IngestMode mode) {
   return drive_vehicles(count, adapt_itinerary(itinerary, rsus_.size()),
-                        workers, mode, pipeline);
+                        workers, mode);
 }
 
 IngestStats VcpsSimulation::drive_vehicles(
     std::uint64_t count, const BulkItineraryProvider& itineraries,
-    unsigned workers, IngestMode mode, PipelineMode pipeline) {
+    unsigned workers, IngestMode mode) {
   VLM_REQUIRE(period_open_, "begin_period() before driving vehicles");
   IngestMetrics& metrics = ingest_metrics();
   obs::Span ingest_span(metrics.period_ingest);
   const std::uint64_t pool_before =
       common::WorkerPool::instance().dispatch_count();
-  const unsigned used = workers == 0 ? common::default_worker_count() : workers;
-  const std::uint64_t base = vehicles_driven_;
-  const std::size_t rsu_count = rsus_.size();
+  const unsigned requested =
+      workers == 0 ? common::default_worker_count() : workers;
   IngestMode resolved = apply_env_override(mode);
   if (resolved == IngestMode::kAuto) resolved = IngestMode::kBatch;
   const bool batch = resolved == IngestMode::kBatch;
-  PipelineMode schedule = apply_pipeline_override(pipeline);
-  if (schedule == PipelineMode::kAuto) schedule = PipelineMode::kOverlap;
-  const bool overlap = batch && schedule == PipelineMode::kOverlap;
-
-  // Worker-local state: one RsuState shard per (worker, RSU) — bits plus
-  // counter — a failure tally, a malformed-reply count per RSU, and an
-  // exchange count. Nothing shared is written until the join.
-  const unsigned shard_count = static_cast<unsigned>(
-      std::min<std::uint64_t>(used, count == 0 ? 1 : count));
-  std::vector<std::vector<core::RsuState>> shards;
-  std::vector<std::vector<std::uint64_t>> invalid(
-      shard_count, std::vector<std::uint64_t>(rsu_count, 0));
-  std::vector<ChannelTally> tallies(shard_count);
-  std::vector<std::uint64_t> exchanges(shard_count, 0);
-  shards.reserve(shard_count);
-  for (unsigned w = 0; w < shard_count; ++w) {
-    std::vector<core::RsuState> shard;
-    shard.reserve(rsu_count);
-    for (const Rsu& rsu : rsus_) {
-      shard.emplace_back(rsu.state().array_size());
-    }
-    shards.push_back(std::move(shard));
-  }
 
   IngestStats stats;
   stats.path = batch ? "batch" : "scalar";
-  stats.pipeline = overlap ? "overlap" : "off";
+  stats.workers = static_cast<unsigned>(
+      std::min<std::uint64_t>(requested, count == 0 ? 1 : count));
+  // One channel tally per worker; the draws are hashed per exchange, so
+  // only their sums matter.
+  std::vector<ChannelTally> tallies(stats.workers);
+  stats.exchanges = batch ? ingest_rounds(count, itineraries, tallies, stats)
+                          : ingest_scalar(count, itineraries, tallies);
 
-  if (!batch) {
-    // Reference engine: the per-vehicle object loop, one exchange at a
-    // time. The batch pipeline below must land bit-identical shards.
-    common::parallel_slices(
-        static_cast<std::size_t>(count), used,
-        [&](unsigned worker, std::size_t begin, std::size_t end) {
-          const obs::Span encode_span(metrics.encode_worker);
-          std::vector<core::RsuState>& shard = shards[worker];
-          ChannelTally& tally = tallies[worker];
-          common::UninitVector<std::uint32_t> positions;
-          std::vector<std::uint64_t> offsets;
-          std::vector<std::uint64_t> counts;  // unused by this engine
-          itineraries(begin, end, positions, offsets, counts);
-          VLM_REQUIRE(offsets.size() == end - begin + 1,
-                      "bulk itinerary provider produced a malformed CSR");
-          for (std::size_t v = begin; v < end; ++v) {
-            // Same numbering as the serial drive_vehicle counter, so the
-            // vehicle identities — and therefore the bits — are the same
-            // population regardless of how the ingest is driven.
-            const std::uint64_t vehicle_number = base + v + 1;
-            const core::VehicleIdentity identity =
-                core::synthetic_vehicle(seed_, vehicle_number);
-            Vehicle vehicle(identity, encoder(), ca_,
-                            common::mix64(identity.masked_key() ^ period_));
-            for (std::uint64_t o = offsets[v - begin];
-                 o < offsets[v - begin + 1]; ++o) {
-              const std::uint32_t position = positions[o];
-              VLM_REQUIRE(position < shard.size(), "RSU position out of range");
-              const Rsu& rsu = rsus_[position];
-              if (!channel_.query_delivered_for(period_, vehicle_number,
-                                                rsu.id(), tally)) {
-                continue;
-              }
-              const auto reply = vehicle.handle_query(rsu.make_query(period_));
-              if (!reply.has_value()) continue;
-              const int deliveries = channel_.deliveries_for_reply_for(
-                  period_, vehicle_number, rsu.id(), tally);
-              for (int d = 0; d < deliveries; ++d) {
-                if (reply->bit_index >= shard[position].array_size()) {
-                  ++invalid[worker][position];
-                } else {
-                  shard[position].record(reply->bit_index);
-                  ++exchanges[worker];
-                }
-              }
-            }
-          }
-        });
-  } else {
-    // Columnar engine: hoist the per-RSU constants (validated encode
-    // target; whether a vehicle would answer the query at all — the
-    // certificate/size checks are vehicle-independent), then run the
-    // four SoA stages per worker slice. See ingest_batch.h for the
-    // hash-domain invariant that keeps this bit-identical to the loop
-    // above.
-    std::vector<RsuIngestContext> contexts;
-    contexts.reserve(rsu_count);
-    for (const Rsu& rsu : rsus_) {
-      const Query query = rsu.make_query(period_);
-      const bool answered = ca_.verify(query.certificate, query.period) &&
-                            query.certificate.subject == query.rsu &&
-                            common::is_power_of_two(query.array_size);
-      contexts.push_back(RsuIngestContext{
-          rsu.id(), core::EncodeTarget(rsu.state().array_size()), answered});
-    }
-    // Two ExchangeColumns per worker: the overlap schedule materializes
-    // sub-slice k + 1 into one while draining the other; the off
-    // schedule only ever touches [0].
-    std::vector<std::array<ExchangeColumns, 2>> columns(shard_count);
-    struct StageSeconds {
-      double materialize = 0.0, hash = 0.0, channel = 0.0, scatter = 0.0;
-      double pipeline = 0.0;
-    };
-    std::vector<StageSeconds> stage(shard_count);
-    common::parallel_slices(
-        static_cast<std::size_t>(count), used,
-        [&](unsigned worker, std::size_t begin, std::size_t end) {
-          const obs::Span encode_span(metrics.encode_worker);
-          StageSeconds& secs = stage[worker];
-          // Stage bodies accumulate seconds across however many
-          // sub-slices the schedule runs; each stage histogram then gets
-          // ONE observation per worker (below) whichever schedule ran,
-          // so the exported key set and sample counts match across
-          // modes.
-          // Each stage body is also a flight-recorder scope per
-          // sub-slice: the histograms keep one observation per worker,
-          // the trace shows every individual sub-slice iteration.
-          const auto materialize = [&](std::size_t b, std::size_t e,
-                                       ExchangeColumns& cols) {
-            const obs::trace::TraceScope scope("ingest/materialize");
-            const obs::Stopwatch watch;
-            materialize_exchanges(seed_, base, b, e, itineraries, rsu_count,
-                                  !channel_.lossless(), cols);
-            secs.materialize += watch.seconds();
-          };
-          const auto drain = [&](ExchangeColumns& cols) {
-            obs::Stopwatch watch;
-            {
-              const obs::trace::TraceScope scope("ingest/hash");
-              hash_bit_indices(encoder(), contexts, cols);
-            }
-            secs.hash += watch.seconds();
-            watch.restart();
-            {
-              const obs::trace::TraceScope scope("ingest/channel");
-              draw_channel_outcomes(channel_, period_, contexts, cols,
-                                    tallies[worker]);
-            }
-            secs.channel += watch.seconds();
-            watch.restart();
-            {
-              const obs::trace::TraceScope scope("ingest/scatter");
-              exchanges[worker] +=
-                  scatter_into_shards(contexts, cols, shards[worker]);
-            }
-            secs.scatter += watch.seconds();
-          };
-          if (!overlap) {
-            materialize(begin, end, columns[worker][0]);
-            drain(columns[worker][0]);
-          } else {
-            // Software pipeline: prologue-materialize sub-slice 0, then
-            // alternate buffers so each drain consumes tuples written
-            // immediately before it (still cache-resident) while the
-            // other buffer is refilled for the next iteration. Stage
-            // order per sub-slice is unchanged and sub-slices drain in
-            // ascending vehicle order, so every bucket's record_bulk
-            // stream is the off schedule's stream cut into chunks —
-            // bit-identical shards.
-            obs::Span loop_span(metrics.pipeline_overlap);
-            materialize(begin, std::min(begin + kPipelineSubSlice, end),
-                        columns[worker][0]);
-            unsigned current = 0;
-            for (std::size_t b = begin; b < end; b += kPipelineSubSlice) {
-              const std::size_t next_b = b + kPipelineSubSlice;
-              if (next_b < end) {
-                materialize(next_b, std::min(next_b + kPipelineSubSlice, end),
-                            columns[worker][current ^ 1]);
-              }
-              drain(columns[worker][current]);
-              current ^= 1;
-            }
-            secs.pipeline = loop_span.finish();
-          }
-          const auto nanos = [](double seconds) {
-            return static_cast<std::uint64_t>(seconds * 1e9);
-          };
-          metrics.stage_materialize.observe(nanos(secs.materialize));
-          metrics.stage_hash.observe(nanos(secs.hash));
-          metrics.stage_channel.observe(nanos(secs.channel));
-          metrics.stage_scatter.observe(nanos(secs.scatter));
-        });
-    for (const StageSeconds& secs : stage) {
-      stats.materialize_seconds += secs.materialize;
-      stats.hash_seconds += secs.hash;
-      stats.channel_seconds += secs.channel;
-      stats.scatter_seconds += secs.scatter;
-      stats.pipeline_seconds += secs.pipeline;
-    }
-  }
-
-  // Period close: OR-merge every worker's shards into the real RSUs and
-  // sum the tallies. All merges commute, so the result is independent of
-  // worker count and merge order.
-  {
-    const obs::Span merge_span(metrics.shard_merge);
-    for (std::size_t r = 0; r < rsu_count; ++r) {
-      for (unsigned w = 0; w < shard_count; ++w) {
-        rsus_[r].absorb_shard(shards[w][r], invalid[w][r]);
-      }
-    }
-  }
   ChannelTally lost;
-  for (unsigned w = 0; w < shard_count; ++w) {
-    channel_.absorb(tallies[w]);
-    lost.queries_lost += tallies[w].queries_lost;
-    lost.replies_lost += tallies[w].replies_lost;
-    lost.replies_duplicated += tallies[w].replies_duplicated;
-    stats.exchanges += exchanges[w];
+  for (const ChannelTally& tally : tallies) {
+    channel_.absorb(tally);
+    lost.queries_lost += tally.queries_lost;
+    lost.replies_lost += tally.replies_lost;
+    lost.replies_duplicated += tally.replies_duplicated;
   }
   vehicles_driven_ += count;
   stats.vehicles = count;
-  stats.workers = shard_count;
   stats.kernel_isa = common::kernels::active_name();
   stats.pool_lifetime_dispatches =
       common::WorkerPool::instance().dispatch_count();
@@ -448,6 +266,221 @@ IngestStats VcpsSimulation::drive_vehicles(
   metrics.ingest_path.set(stats.path);
   stats.seconds = ingest_span.finish();
   return stats;
+}
+
+std::uint64_t VcpsSimulation::ingest_scalar(
+    std::uint64_t count, const BulkItineraryProvider& itineraries,
+    std::span<ChannelTally> tallies) {
+  IngestMetrics& metrics = ingest_metrics();
+  const auto workers = static_cast<unsigned>(tallies.size());
+  const std::uint64_t base = vehicles_driven_;
+  const std::size_t rsu_count = rsus_.size();
+
+  // Worker-local state: one RsuState shard per (worker, RSU) — bits plus
+  // counter — a malformed-reply count per RSU, and an exchange count.
+  // Nothing shared is written until the join.
+  std::vector<std::vector<core::RsuState>> shards;
+  std::vector<std::vector<std::uint64_t>> invalid(
+      workers, std::vector<std::uint64_t>(rsu_count, 0));
+  std::vector<std::uint64_t> exchanges(workers, 0);
+  shards.reserve(workers);
+  for (unsigned w = 0; w < workers; ++w) {
+    std::vector<core::RsuState> shard;
+    shard.reserve(rsu_count);
+    for (const Rsu& rsu : rsus_) {
+      shard.emplace_back(rsu.state().array_size());
+    }
+    shards.push_back(std::move(shard));
+  }
+
+  // The per-vehicle object loop, one exchange at a time. The batch
+  // engine must land bit-identical RSU states.
+  common::parallel_slices(
+      static_cast<std::size_t>(count), workers,
+      [&](unsigned worker, std::size_t begin, std::size_t end) {
+        const obs::Span encode_span(metrics.encode_worker);
+        std::vector<core::RsuState>& shard = shards[worker];
+        ChannelTally& tally = tallies[worker];
+        common::UninitVector<std::uint32_t> positions;
+        std::vector<std::uint64_t> offsets;
+        std::vector<std::uint64_t> counts;  // unused by this engine
+        itineraries(begin, end, positions, offsets, counts);
+        VLM_REQUIRE(offsets.size() == end - begin + 1,
+                    "bulk itinerary provider produced a malformed CSR");
+        for (std::size_t v = begin; v < end; ++v) {
+          // Same numbering as the serial drive_vehicle counter, so the
+          // vehicle identities — and therefore the bits — are the same
+          // population regardless of how the ingest is driven.
+          const std::uint64_t vehicle_number = base + v + 1;
+          const core::VehicleIdentity identity =
+              core::synthetic_vehicle(seed_, vehicle_number);
+          Vehicle vehicle(identity, encoder(), ca_,
+                          common::mix64(identity.masked_key() ^ period_));
+          for (std::uint64_t o = offsets[v - begin];
+               o < offsets[v - begin + 1]; ++o) {
+            const std::uint32_t position = positions[o];
+            VLM_REQUIRE(position < shard.size(), "RSU position out of range");
+            const Rsu& rsu = rsus_[position];
+            if (!channel_.query_delivered_for(period_, vehicle_number,
+                                              rsu.id(), tally)) {
+              continue;
+            }
+            const auto reply = vehicle.handle_query(rsu.make_query(period_));
+            if (!reply.has_value()) continue;
+            const int deliveries = channel_.deliveries_for_reply_for(
+                period_, vehicle_number, rsu.id(), tally);
+            for (int d = 0; d < deliveries; ++d) {
+              if (reply->bit_index >= shard[position].array_size()) {
+                ++invalid[worker][position];
+              } else {
+                shard[position].record(reply->bit_index);
+                ++exchanges[worker];
+              }
+            }
+          }
+        }
+      });
+
+  // OR-merge every worker's shards into the real RSUs. All merges
+  // commute, so the result is independent of worker count and merge
+  // order.
+  {
+    const obs::Span merge_span(metrics.shard_merge);
+    for (std::size_t r = 0; r < rsu_count; ++r) {
+      for (unsigned w = 0; w < workers; ++w) {
+        rsus_[r].absorb_shard(shards[w][r], invalid[w][r]);
+      }
+    }
+  }
+  std::uint64_t total = 0;
+  for (const std::uint64_t e : exchanges) total += e;
+  return total;
+}
+
+std::uint64_t VcpsSimulation::ingest_rounds(
+    std::uint64_t count, const BulkItineraryProvider& itineraries,
+    std::span<ChannelTally> tallies, IngestStats& stats) {
+  IngestMetrics& metrics = ingest_metrics();
+  const auto workers = static_cast<unsigned>(tallies.size());
+  const std::uint64_t base = vehicles_driven_;
+  const std::size_t rsu_count = rsus_.size();
+  const bool lossy = !channel_.lossless();
+
+  // Hoist the per-RSU constants: the validated encode target, and whether
+  // a vehicle would answer the query at all (the certificate and size
+  // checks are vehicle-independent). See ingest_batch.h for the
+  // hash-domain invariant that keeps this bit-identical to the scalar
+  // engine.
+  std::vector<RsuIngestContext> contexts;
+  contexts.reserve(rsu_count);
+  for (const Rsu& rsu : rsus_) {
+    const Query query = rsu.make_query(period_);
+    const bool answered = ca_.verify(query.certificate, query.period) &&
+                          query.certificate.subject == query.rsu &&
+                          common::is_power_of_two(query.array_size);
+    contexts.push_back(RsuIngestContext{
+        rsu.id(), core::EncodeTarget(rsu.state().array_size()), answered});
+  }
+  if (columns_.size() < workers) columns_.resize(workers);
+
+  // Stage seconds and recorded exchanges, summed over the rounds: index w
+  // is worker w in region 1 and owner w in region 2.
+  struct WorkerTotals {
+    double materialize = 0.0, hash = 0.0, channel = 0.0, scatter = 0.0;
+    std::uint64_t exchanges = 0;
+  };
+  std::vector<WorkerTotals> totals(workers);
+  const auto owners =
+      static_cast<unsigned>(std::min<std::size_t>(workers, rsu_count));
+  std::vector<std::uint64_t> prefix(rsu_count + 1, 0);
+  std::vector<std::size_t> cuts;
+  double owner_seconds = 0.0;
+
+  // Each round is two pool regions with no barrier inside either: a
+  // region may run more logical workers than the pool has threads, as
+  // serial task slots.
+  const std::uint64_t round_size = std::uint64_t{workers} * kRoundSubSlice;
+  for (std::uint64_t round = 0; round < count; round += round_size) {
+    const std::uint64_t vehicles = std::min(round_size, count - round);
+    const auto slices =
+        static_cast<unsigned>(std::min<std::uint64_t>(workers, vehicles));
+
+    // Region 1: worker w materializes, hashes and draws the channel for
+    // the w-th of `slices` equal sub-slices, into its own columns.
+    common::parallel_for(slices, slices, [&](std::size_t w) {
+      const std::uint64_t begin = round + vehicles * w / slices;
+      const std::uint64_t end = round + vehicles * (w + 1) / slices;
+      ExchangeColumns& columns = columns_[w];
+      WorkerTotals& t = totals[w];
+      obs::Stopwatch watch;
+      {
+        const obs::trace::TraceScope scope("ingest/materialize");
+        materialize_exchanges(seed_, base, begin, end, itineraries,
+                              rsu_count, lossy, columns);
+      }
+      t.materialize += watch.seconds();
+      watch.restart();
+      {
+        const obs::trace::TraceScope scope("ingest/hash");
+        hash_bit_indices(encoder(), contexts, columns);
+      }
+      t.hash += watch.seconds();
+      watch.restart();
+      {
+        const obs::trace::TraceScope scope("ingest/channel");
+        draw_channel_outcomes(channel_, period_, contexts, columns,
+                              tallies[w]);
+      }
+      t.channel += watch.seconds();
+    });
+
+    // Region 2: cut the RSUs, in position order, into runs of about
+    // equal exchange count from this round's bucket sizes. Each run's
+    // owner scatters every worker's bucket of its RSUs, so each array
+    // has one writer. After the call's last round the owner also
+    // flushes its RSUs' deferred ones counts, so the period close reads
+    // clean counts.
+    for (std::size_t r = 0; r < rsu_count; ++r) {
+      std::uint64_t weight = 0;
+      for (unsigned w = 0; w < slices; ++w) {
+        weight += columns_[w].buckets[r].bit_indices.size();
+      }
+      prefix[r + 1] = prefix[r] + weight;
+    }
+    cut_runs(prefix, owners, cuts);
+    const bool last_round = round + vehicles == count;
+    const obs::Stopwatch owner_watch;
+    common::parallel_for(owners, owners, [&](std::size_t o) {
+      const obs::trace::TraceScope scope("ingest/scatter");
+      const obs::Stopwatch watch;
+      WorkerTotals& t = totals[o];
+      for (std::size_t r = cuts[o]; r < cuts[o + 1]; ++r) {
+        for (unsigned w = 0; w < slices; ++w) {
+          t.exchanges += scatter_bucket(columns_[w].buckets[r], rsus_[r]);
+        }
+        if (last_round) (void)rsus_[r].state().bits().count_ones();
+      }
+      t.scatter += watch.seconds();
+    });
+    owner_seconds += owner_watch.seconds();
+  }
+
+  std::uint64_t exchanges = 0;
+  for (unsigned w = 0; w < workers; ++w) {
+    const WorkerTotals& t = totals[w];
+    metrics.encode_worker.observe(nanos(t.materialize + t.hash + t.channel));
+    metrics.stage_materialize.observe(nanos(t.materialize));
+    metrics.stage_hash.observe(nanos(t.hash));
+    metrics.stage_channel.observe(nanos(t.channel));
+    if (w < owners) metrics.stage_scatter.observe(nanos(t.scatter));
+    stats.materialize_seconds += t.materialize;
+    stats.hash_seconds += t.hash;
+    stats.channel_seconds += t.channel;
+    stats.scatter_seconds += t.scatter;
+    exchanges += t.exchanges;
+  }
+  metrics.shard_merge.observe(nanos(owner_seconds));
+  return exchanges;
 }
 
 void VcpsSimulation::end_period() {

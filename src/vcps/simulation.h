@@ -69,7 +69,7 @@ using BulkItineraryProvider = std::function<void(
     common::UninitVector<std::uint32_t>& positions,
     std::vector<std::uint64_t>& offsets, std::vector<std::uint64_t>& counts)>;
 
-// How drive_vehicles turns a vehicle slice into shard updates. Both
+// How drive_vehicles turns vehicles into RSU state updates. Both
 // engines produce bit-identical reports AND channel tallies for every
 // worker count; the choice is purely a performance decision.
 // VLM_INGEST=scalar|batch|auto steers how kAuto resolves at runtime;
@@ -77,35 +77,15 @@ using BulkItineraryProvider = std::function<void(
 // suites keep comparing both engines under any environment.
 enum class IngestMode {
   // Per-vehicle object loop: one Vehicle, one query, one reply at a
-  // time. The reference engine the batch path is asserted against.
+  // time, into per-(worker, RSU) shard states OR-merged after the join.
+  // The reference engine the batch path is asserted against.
   kScalar,
-  // Staged columnar pipeline (ingest_batch.h): materialize SoA exchange
-  // tuples, batch-hash bit indices through the encode_batch kernel,
-  // batch the channel draws, scatter through set_bulk.
+  // Staged columnar pipeline (ingest_batch.h) in rounds: workers
+  // materialize SoA exchange tuples, batch-hash bit indices through the
+  // encode_batch kernel and batch the channel draws; then each RSU's
+  // owner scatters every worker's tuples into the RSU's own array.
   kBatch,
   // Currently resolves to kBatch.
-  kAuto,
-};
-
-// How the batch engine schedules its four stages within a worker slice.
-// Both schedules run the same stages over the same vehicles in the same
-// scatter order, so reports and tallies are bit-identical — the choice
-// is purely a locality/throughput decision.
-// VLM_INGEST_PIPELINE=off|overlap|auto steers how kAuto resolves at
-// runtime (explicit requests win, as with VLM_INGEST). Ignored by the
-// scalar engine.
-enum class PipelineMode {
-  // One pass: materialize the whole slice, then hash, channel, and
-  // scatter the whole slice. Simple, but the slice's exchange tuples
-  // cycle through the cache hierarchy once per stage.
-  kOff,
-  // Software-pipelined: the slice is split into cache-sized sub-slices
-  // processed through two ExchangeColumns buffers — materialize of
-  // sub-slice k + 1 is issued back-to-back with hash/channel/scatter of
-  // sub-slice k, so the downstream stages consume tuples that are still
-  // resident instead of refetching a whole slice from DRAM.
-  kOverlap,
-  // Currently resolves to kOverlap.
   kAuto,
 };
 
@@ -121,25 +101,14 @@ struct IngestStats {
   // Engine that ran after VLM_INGEST/auto resolution ("scalar" or
   // "batch") — a static string, never freed.
   const char* path = "scalar";
-  // Stage schedule that ran after VLM_INGEST_PIPELINE/auto resolution
-  // ("off" or "overlap"; always "off" on the scalar path) — a static
-  // string, never freed.
-  const char* pipeline = "off";
   // Batch path only: per-stage seconds summed across workers (CPU time,
-  // not wall time; the stages of different workers overlap). Zero on the
-  // scalar path. Under PipelineMode::kOverlap each worker's stage time
-  // is itself summed over its sub-slices.
+  // not wall time; the stages of different workers overlap), each
+  // itself summed over the call's rounds. Scatter is the owners' time.
+  // Zero on the scalar path.
   double materialize_seconds = 0.0;
   double hash_seconds = 0.0;
   double channel_seconds = 0.0;
   double scatter_seconds = 0.0;
-  // Batch path only: seconds inside the per-worker sub-slice loop
-  // (prologue materialize included), summed across workers. The
-  // denominator of the bench's overlap-efficiency ratio — the sum of the
-  // four stage times divided by this approaches 1.0 when the schedule
-  // keeps the worker busy with stage work and drops when buffer swaps or
-  // stalls eat the slice.
-  double pipeline_seconds = 0.0;
   // Parallel regions this ingest dispatched to the persistent WorkerPool
   // and the pool's lifetime total afterwards — the pooled threads are
   // reused across periods, never respawned per call.
@@ -150,9 +119,12 @@ struct IngestStats {
   }
 };
 
+struct ExchangeColumns;  // vcps/ingest_batch.h
+
 class VcpsSimulation {
  public:
   VcpsSimulation(const SimulationConfig& config, std::span<const RsuSite> sites);
+  ~VcpsSimulation();
 
   std::size_t rsu_count() const { return rsus_.size(); }
   const Rsu& rsu(std::size_t position) const;
@@ -177,26 +149,28 @@ class VcpsSimulation {
   std::size_t drive_vehicle_as(const core::VehicleIdentity& identity,
                                std::span<const std::size_t> rsu_positions);
 
-  // Sharded batch ingest: drives `count` fresh vehicles (numbered as if
+  // Parallel ingest: drives `count` fresh vehicles (numbered as if
   // drive_vehicle had been called `count` times) through the full
-  // protocol across `workers` threads (0 = one per core). Each worker
-  // runs a contiguous vehicle slice against its own per-RSU shard states
-  // and the shards are OR-merged into the real RSUs after the join, so
-  // the per-RSU bits AND counters are bit-identical for every worker
-  // count. Channel loss/duplication draws are seeded per (vehicle, RSU)
-  // via DsrcChannel::*_for — order-independent, unlike the sequential
-  // stream drive_vehicle consumes — which means a lossy drive_vehicles
-  // run matches other drive_vehicles runs exactly, and matches a
+  // protocol across `workers` threads (0 = one per core). `mode` picks
+  // the engine (see IngestMode). The batch engine runs rounds of up to
+  // workers × 16384 vehicles: each worker encodes one sub-slice, then
+  // the RSUs are cut into contiguous runs of about equal exchange count
+  // and each run's owner writes its RSUs' arrays, so every array has one
+  // writer and no per-worker copies exist. The scalar engine runs one
+  // contiguous vehicle slice per worker into per-worker shard states
+  // and OR-merges them after the join. Either way the per-RSU bits AND
+  // counters are bit-identical for every worker count. Channel
+  // loss/duplication draws are seeded per (vehicle, RSU) via
+  // DsrcChannel::*_for — order-independent, unlike the sequential stream
+  // drive_vehicle consumes — which means a lossy drive_vehicles run
+  // matches other drive_vehicles runs exactly, and matches a
   // drive_vehicle loop exactly when the channel is loss-free (no draws
-  // happen at all). `mode` picks the per-slice engine (see IngestMode)
-  // and `pipeline` the batch engine's stage schedule (see PipelineMode);
-  // the VLM_INGEST and VLM_INGEST_PIPELINE environment variables steer
-  // how the kAuto defaults resolve (explicit requests win).
+  // happen at all). The VLM_INGEST environment variable steers how the
+  // kAuto default resolves (explicit requests win).
   IngestStats drive_vehicles(std::uint64_t count,
                              const ItineraryProvider& itinerary,
                              unsigned workers = 0,
-                             IngestMode mode = IngestMode::kAuto,
-                             PipelineMode pipeline = PipelineMode::kAuto);
+                             IngestMode mode = IngestMode::kAuto);
 
   // Same, fed by the bulk CSR form directly — skips the per-vehicle
   // function call and copy of the adapted path, which measurably raises
@@ -205,8 +179,7 @@ class VcpsSimulation {
   IngestStats drive_vehicles(std::uint64_t count,
                              const BulkItineraryProvider& itineraries,
                              unsigned workers = 0,
-                             IngestMode mode = IngestMode::kAuto,
-                             PipelineMode pipeline = PipelineMode::kAuto);
+                             IngestMode mode = IngestMode::kAuto);
 
   // Ends the period: every RSU reports to the central server, then the
   // fleet's states get a period-close health assessment (saturation /
@@ -225,6 +198,18 @@ class VcpsSimulation {
   std::uint64_t vehicles_driven() const { return vehicles_driven_; }
 
  private:
+  // The two engines behind drive_vehicles. Each fills the per-worker
+  // channel tallies (one per entry of `tallies`, whose size is the
+  // worker count) and `stats`' per-engine fields, and returns the
+  // recorded exchanges.
+  std::uint64_t ingest_scalar(std::uint64_t count,
+                              const BulkItineraryProvider& itineraries,
+                              std::span<ChannelTally> tallies);
+  std::uint64_t ingest_rounds(std::uint64_t count,
+                              const BulkItineraryProvider& itineraries,
+                              std::span<ChannelTally> tallies,
+                              IngestStats& stats);
+
   CertificateAuthority ca_;
   CentralServer server_;
   DsrcChannel channel_;
@@ -234,6 +219,9 @@ class VcpsSimulation {
   std::uint64_t vehicles_driven_ = 0;
   bool period_open_ = false;
   obs::health::HealthSummary last_health_;
+  // The batch engine's per-worker exchange columns, kept across rounds
+  // and calls so steady-state ingest reuses their capacity.
+  std::vector<ExchangeColumns> columns_;
 };
 
 }  // namespace vlm::vcps

@@ -254,6 +254,22 @@ TEST(BitArraySetBulk, CounterStaysConsistentAfterFurtherSets) {
   EXPECT_EQ(bits.count_ones(), 5u);
 }
 
+TEST(BitArraySetBulk, DeliveriesSetOnlyDeliveredIndices) {
+  // The lossy-channel form: a lost reply (0) sets nothing, a duplicated
+  // one (2) sets its bit once, and the count stays exact.
+  BitArray bits(130);
+  const std::vector<std::size_t> indices{3, 64, 64, 129, 7, 100};
+  const std::vector<std::uint8_t> deliveries{1, 0, 2, 1, 0, 2};
+  bits.set_bulk(indices, deliveries);
+  BitArray want(130);
+  for (const std::size_t i : {3u, 64u, 129u, 100u}) want.set(i);
+  EXPECT_EQ(bits, want);
+  EXPECT_EQ(bits.count_ones(), 4u);
+  const std::vector<std::uint8_t> short_deliveries{1};
+  EXPECT_THROW(bits.set_bulk(indices, short_deliveries),
+               std::invalid_argument);
+}
+
 TEST(ShardedBitArray, MergedEqualsSerialSetForAnyShardCount) {
   const std::size_t size = 100;  // unaligned on purpose
   std::vector<std::size_t> indices;
@@ -303,38 +319,31 @@ TEST(BitArraySerialization, RoundTrips) {
   EXPECT_EQ(restored, bits);
 }
 
-// serialized_ones runs the checks from_bytes relies on; every rejection
-// below goes through both.
 TEST(BitArraySerialization, RejectsWrongLength) {
   BitArray bits(64);
   auto bytes = bits.to_bytes();
   bytes.push_back(0);
   EXPECT_THROW((void)BitArray::from_bytes(64, bytes), std::invalid_argument);
-  EXPECT_THROW((void)BitArray::serialized_ones(64, bytes),
-               std::invalid_argument);
   bytes.resize(7);
   EXPECT_THROW((void)BitArray::from_bytes(64, bytes), std::invalid_argument);
-  EXPECT_THROW((void)BitArray::serialized_ones(64, bytes),
-               std::invalid_argument);
   // An empty array has no valid serialization.
   EXPECT_THROW((void)BitArray::from_bytes(0, {}), std::invalid_argument);
-  EXPECT_THROW((void)BitArray::serialized_ones(0, {}), std::invalid_argument);
 }
 
 TEST(BitArraySerialization, RejectsTrailingGarbageBits) {
   // Declared 12 bits -> 2 bytes; bit 13 set is out of range.
   std::vector<std::uint8_t> bytes{0x00, 0xF0};
   EXPECT_THROW((void)BitArray::from_bytes(12, bytes), std::invalid_argument);
-  EXPECT_THROW((void)BitArray::serialized_ones(12, bytes),
-               std::invalid_argument);
 }
 
 TEST(BitArraySerialization, RoundTripsNonWordMultipleSizes) {
   // Sizes that are neither byte- nor word-multiples: the final byte is
-  // partially occupied and the recount must still be exact. The large
-  // sizes straddle serialized_ones' 4096-byte staging chunks.
-  for (const std::size_t size : {1u, 7u, 9u, 63u, 65u, 130u, 1000u, 32768u,
-                                 32769u, 100000u}) {
+  // partially occupied and the ones count from_bytes takes while copying
+  // must still be exact. The large sizes straddle, end on, and run
+  // several of its 4096-byte copy chunks.
+  for (const std::size_t size :
+       {1u, 7u, 9u, 63u, 64u, 65u, 130u, 1000u, 32767u, 32768u, 32769u,
+        65536u + 8u, 100000u, 3u * 32768u + 5u}) {
     BitArray bits(size);
     for (std::size_t i = 0; i < size; i += 3) bits.set(i);
     if (size > 1) bits.set(size - 1);
@@ -343,8 +352,7 @@ TEST(BitArraySerialization, RoundTripsNonWordMultipleSizes) {
     const BitArray restored = BitArray::from_bytes(size, bytes);
     EXPECT_EQ(restored, bits) << "size=" << size;
     EXPECT_EQ(restored.count_ones(), bits.count_ones()) << "size=" << size;
-    EXPECT_EQ(BitArray::serialized_ones(size, bytes), bits.count_ones())
-        << "size=" << size;
+    EXPECT_EQ(restored.to_bytes(), bytes) << "size=" << size;
   }
 }
 
@@ -358,9 +366,6 @@ TEST(BitArraySerialization, RejectsAnyBitPastDeclaredSize) {
       std::vector<std::uint8_t> tampered = bytes;
       tampered[bad / 8] = static_cast<std::uint8_t>(1u << (bad % 8));
       EXPECT_THROW((void)BitArray::from_bytes(size, tampered),
-                   std::invalid_argument)
-          << "size=" << size << " trailing bit " << bad;
-      EXPECT_THROW((void)BitArray::serialized_ones(size, tampered),
                    std::invalid_argument)
           << "size=" << size << " trailing bit " << bad;
     }

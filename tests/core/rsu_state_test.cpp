@@ -7,6 +7,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 namespace vlm::core {
 namespace {
@@ -41,6 +42,22 @@ TEST(RsuState, RecordAdvancesCounterAndSetsBit) {
 TEST(RsuState, RecordBoundsChecked) {
   RsuState state(8);
   EXPECT_THROW(state.record(8), std::invalid_argument);
+}
+
+TEST(RsuState, RecordBulkWithDeliveriesEqualsRecordLoop) {
+  // deliveries[i] copies of reply i: 0 = lost, 2 = duplicated.
+  const std::vector<std::size_t> indices{5, 9, 5, 200, 31};
+  const std::vector<std::uint8_t> deliveries{2, 0, 1, 1, 0};
+  RsuState bulk(256);
+  bulk.record_bulk(indices, deliveries);
+  RsuState looped(256);
+  for (std::size_t i = 0; i < indices.size(); ++i) {
+    for (std::uint8_t d = 0; d < deliveries[i]; ++d) looped.record(indices[i]);
+  }
+  EXPECT_EQ(bulk.counter(), 4u);
+  EXPECT_EQ(bulk.counter(), looped.counter());
+  EXPECT_EQ(bulk.bits(), looped.bits());
+  EXPECT_EQ(bulk.zero_count(), looped.zero_count());
 }
 
 TEST(RsuState, ResetClearsPeriod) {

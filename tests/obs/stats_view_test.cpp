@@ -166,16 +166,16 @@ TEST(MetricsStatsView, IngestAndPipelineStatsEqualRegistryDelta) {
 
   vcps::VcpsSimulation sim(config, sites);
   sim.begin_period();
-  const vcps::IngestStats stats = sim.drive_vehicles(kVehicles, itinerary, 2);
+  const vcps::IngestStats stats =
+      sim.drive_vehicles(kVehicles, itinerary, 2, vcps::IngestMode::kBatch);
   sim.end_period();
 
   EXPECT_EQ(counter_value("ingest/vehicles") - vehicles_before,
             stats.vehicles);
   EXPECT_EQ(counter_value("ingest/exchanges") - exchanges_before,
             stats.exchanges);
-  // One shard absorb per (worker, RSU).
-  EXPECT_EQ(counter_value("ingest/shards_absorbed") - shards_before,
-            static_cast<std::uint64_t>(stats.workers) * kRsus);
+  // The batch engine writes each RSU's array in place: no shards.
+  EXPECT_EQ(counter_value("ingest/shards_absorbed") - shards_before, 0u);
 
   const obs::HistogramSummary ingest_after = phase_summary("period/ingest");
   EXPECT_EQ(ingest_after.count - ingest_before.count, 1u);
@@ -188,6 +188,20 @@ TEST(MetricsStatsView, IngestAndPipelineStatsEqualRegistryDelta) {
   EXPECT_EQ(pipeline.reports_quarantined, 0u);
   EXPECT_EQ(counter_value("server/reports_ingested") - reports_before, kRsus);
   EXPECT_EQ(phase_summary("period/close").count - close_before.count, 1u);
+
+  // The scalar reference engine merges one shard per (worker, RSU).
+  const std::uint64_t scalar_shards_before =
+      counter_value("ingest/shards_absorbed");
+  const std::uint64_t scalar_exchanges_before =
+      counter_value("ingest/exchanges");
+  sim.begin_period();
+  const vcps::IngestStats scalar =
+      sim.drive_vehicles(kVehicles, itinerary, 2, vcps::IngestMode::kScalar);
+  sim.end_period();
+  EXPECT_EQ(counter_value("ingest/exchanges") - scalar_exchanges_before,
+            scalar.exchanges);
+  EXPECT_EQ(counter_value("ingest/shards_absorbed") - scalar_shards_before,
+            static_cast<std::uint64_t>(scalar.workers) * kRsus);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Bit-identity of the columnar batch ingest engine (IngestMode::kBatch)
 // against the per-vehicle scalar loop — the acceptance gate of the staged
-// SoA pipeline. Every suite here fixes the engine explicitly through the
+// SoA pipeline and of its owner pass, where each RSU's array is written
+// by the one worker that owns it in a round. Every suite here fixes the engine explicitly through the
 // `mode` parameter, so the assertions hold regardless of what VLM_INGEST
 // or the kAuto default resolve to, and regardless of which engine the
 // ParallelIngest suites happened to exercise.
@@ -53,7 +54,7 @@ std::vector<RsuSite> sites_for(traffic::MultiRsuWorkload& workload) {
   workload.for_each_vehicle(
       [](std::uint64_t, std::span<const std::uint32_t>) {});
   std::vector<RsuSite> sites;
-  for (std::size_t r = 0; r < kRsus; ++r) {
+  for (std::size_t r = 0; r < workload.config().rsu_count; ++r) {
     sites.push_back(RsuSite{core::RsuId{r + 1},
                             static_cast<double>(workload.node_volumes()[r])});
   }
@@ -64,8 +65,8 @@ ItineraryProvider provider_for(const traffic::MultiRsuWorkload& workload) {
   return [&workload](std::uint64_t v, std::vector<std::size_t>& positions) {
     thread_local common::VisitedMask visited(0);
     thread_local std::vector<std::uint32_t> rsus;
-    if (visited.universe_size() != kRsus) {
-      visited = common::VisitedMask(kRsus);
+    if (visited.universe_size() != workload.config().rsu_count) {
+      visited = common::VisitedMask(workload.config().rsu_count);
     }
     workload.itinerary(v, visited, rsus);
     positions.assign(rsus.begin(), rsus.end());
@@ -79,26 +80,44 @@ BulkItineraryProvider bulk_provider_for(
                      std::vector<std::uint64_t>& offsets,
                      std::vector<std::uint64_t>& counts) {
     thread_local common::VisitedMask visited(0);
-    if (visited.universe_size() != kRsus) {
-      visited = common::VisitedMask(kRsus);
+    if (visited.universe_size() != workload.config().rsu_count) {
+      visited = common::VisitedMask(workload.config().rsu_count);
     }
     workload.itineraries(begin, end, visited, positions, offsets, counts);
   };
 }
 
+// One period of the workload's vehicles through drive_vehicles.
 std::unique_ptr<VcpsSimulation> run_with_mode(
     const ChannelConfig& channel, const traffic::MultiRsuWorkload& workload,
     std::span<const RsuSite> sites, unsigned workers, IngestMode mode,
-    IngestStats* stats_out = nullptr,
-    PipelineMode pipeline = PipelineMode::kAuto) {
+    IngestStats* stats_out = nullptr) {
   auto sim = std::make_unique<VcpsSimulation>(sim_config(channel), sites);
   sim->begin_period();
-  const IngestStats stats = sim->drive_vehicles(
-      kVehicles, provider_for(workload), workers, mode, pipeline);
-  EXPECT_EQ(stats.vehicles, kVehicles);
+  const std::uint64_t vehicles = workload.config().vehicle_count;
+  const IngestStats stats =
+      sim->drive_vehicles(vehicles, provider_for(workload), workers, mode);
+  EXPECT_EQ(stats.vehicles, vehicles);
   if (stats_out != nullptr) *stats_out = stats;
   sim->end_period();
   return sim;
+}
+
+// The same period through the one-vehicle-at-a-time serial API.
+std::unique_ptr<VcpsSimulation> run_serial_loop(
+    const traffic::MultiRsuWorkload& workload, std::span<const RsuSite> sites) {
+  auto serial = std::make_unique<VcpsSimulation>(sim_config({}), sites);
+  serial->begin_period();
+  common::VisitedMask visited(workload.config().rsu_count);
+  std::vector<std::uint32_t> rsus;
+  std::vector<std::size_t> positions;
+  for (std::uint64_t v = 0; v < workload.config().vehicle_count; ++v) {
+    workload.itinerary(v, visited, rsus);
+    positions.assign(rsus.begin(), rsus.end());
+    serial->drive_vehicle(positions);
+  }
+  serial->end_period();
+  return serial;
 }
 
 void expect_reports_identical(const VcpsSimulation& a,
@@ -113,6 +132,46 @@ void expect_reports_identical(const VcpsSimulation& a,
   }
 }
 
+void expect_tallies_identical(const VcpsSimulation& a,
+                              const VcpsSimulation& b) {
+  EXPECT_EQ(a.channel().queries_lost(), b.channel().queries_lost());
+  EXPECT_EQ(a.channel().replies_lost(), b.channel().replies_lost());
+  EXPECT_EQ(a.channel().replies_duplicated(), b.channel().replies_duplicated());
+}
+
+// The owner-pass gate: the batch engine at every worker count must land
+// the reports, exchange count and channel tallies of the batch engine at
+// workers = 1 and of the scalar engine, and — loss-free — the reports of
+// the serial drive_vehicle loop.
+void expect_batch_exact(const traffic::MultiRsuConfig& config,
+                        const ChannelConfig& channel,
+                        std::initializer_list<unsigned> worker_counts) {
+  traffic::MultiRsuWorkload workload(config);
+  const std::vector<RsuSite> sites = sites_for(workload);
+  IngestStats scalar_stats, single_stats;
+  const auto scalar = run_with_mode(channel, workload, sites, 1,
+                                    IngestMode::kScalar, &scalar_stats);
+  const auto single = run_with_mode(channel, workload, sites, 1,
+                                    IngestMode::kBatch, &single_stats);
+  EXPECT_EQ(single_stats.exchanges, scalar_stats.exchanges);
+  expect_reports_identical(*scalar, *single);
+  expect_tallies_identical(*scalar, *single);
+  if (channel.query_loss == 0.0 && channel.reply_loss == 0.0 &&
+      channel.reply_duplicate == 0.0) {
+    expect_reports_identical(*run_serial_loop(workload, sites), *single);
+  }
+  for (const unsigned workers : worker_counts) {
+    SCOPED_TRACE(testing::Message() << "workers " << workers);
+    IngestStats stats;
+    const auto batch = run_with_mode(channel, workload, sites, workers,
+                                     IngestMode::kBatch, &stats);
+    EXPECT_EQ(stats.exchanges, scalar_stats.exchanges);
+    expect_reports_identical(*single, *batch);
+    expect_reports_identical(*scalar, *batch);
+    expect_tallies_identical(*scalar, *batch);
+  }
+}
+
 TEST(BatchIngest, BitIdenticalToScalarEngineAcrossWorkerCountsLossyChannel) {
   // The whole point of the refactor: for every worker count, the staged
   // columnar pipeline must land exactly the bits, counters, exchange
@@ -123,6 +182,7 @@ TEST(BatchIngest, BitIdenticalToScalarEngineAcrossWorkerCountsLossyChannel) {
   const ChannelConfig channel = lossy_channel();
 
   for (const unsigned workers : {1u, 2u, 4u, 7u}) {
+    SCOPED_TRACE(testing::Message() << "workers " << workers);
     IngestStats scalar_stats, batch_stats;
     const auto scalar = run_with_mode(channel, workload, sites, workers,
                                       IngestMode::kScalar, &scalar_stats);
@@ -130,16 +190,9 @@ TEST(BatchIngest, BitIdenticalToScalarEngineAcrossWorkerCountsLossyChannel) {
                                      IngestMode::kBatch, &batch_stats);
     EXPECT_STREQ(scalar_stats.path, "scalar");
     EXPECT_STREQ(batch_stats.path, "batch");
-    EXPECT_EQ(batch_stats.exchanges, scalar_stats.exchanges)
-        << "workers " << workers;
+    EXPECT_EQ(batch_stats.exchanges, scalar_stats.exchanges);
     expect_reports_identical(*scalar, *batch);
-    EXPECT_EQ(batch->channel().queries_lost(), scalar->channel().queries_lost())
-        << "workers " << workers;
-    EXPECT_EQ(batch->channel().replies_lost(), scalar->channel().replies_lost())
-        << "workers " << workers;
-    EXPECT_EQ(batch->channel().replies_duplicated(),
-              scalar->channel().replies_duplicated())
-        << "workers " << workers;
+    expect_tallies_identical(*scalar, *batch);
   }
 }
 
@@ -148,19 +201,7 @@ TEST(BatchIngest, MatchesSerialDriveVehicleLoopWhenLossFree) {
   // must also match the one-vehicle-at-a-time serial API exactly.
   traffic::MultiRsuWorkload workload(workload_config());
   const std::vector<RsuSite> sites = sites_for(workload);
-
-  auto serial = std::make_unique<VcpsSimulation>(sim_config({}), sites);
-  serial->begin_period();
-  common::VisitedMask visited(kRsus);
-  std::vector<std::uint32_t> rsus;
-  std::vector<std::size_t> positions;
-  for (std::uint64_t v = 0; v < kVehicles; ++v) {
-    workload.itinerary(v, visited, rsus);
-    positions.assign(rsus.begin(), rsus.end());
-    serial->drive_vehicle(positions);
-  }
-  serial->end_period();
-
+  const auto serial = run_serial_loop(workload, sites);
   for (const unsigned workers : {1u, 4u}) {
     const auto batch = run_with_mode({}, workload, sites, workers,
                                      IngestMode::kBatch);
@@ -168,56 +209,74 @@ TEST(BatchIngest, MatchesSerialDriveVehicleLoopWhenLossFree) {
   }
 }
 
-TEST(BatchIngest, PipelineSchedulesBitIdenticalAcrossWorkersLossyChannel) {
-  // The overlap schedule only double-buffers when a worker slice spans
-  // more than one sub-slice (8192 vehicles), so this suite drives 20000
-  // vehicles: 1 worker runs 3 sub-slices, 2 workers run 2 each, 4 and 7
-  // degenerate to single-sub-slice slices — every epilogue/prologue
-  // shape. For each, both schedules must land the scalar engine's exact
-  // bits, counters, exchange counts, and channel tallies.
+TEST(BatchIngest, RoundsBitIdenticalAcrossWorkersLossyChannel) {
+  // A round gives each worker at most 16384 vehicles, so 20000 vehicles
+  // take two rounds on 1 worker (the second one partial) and one round
+  // split into equal sub-slices on 2, 4 and 7. Every shape must land the
+  // scalar engine's exact bits, counters, exchange counts, and channel
+  // tallies.
   traffic::MultiRsuConfig config = workload_config();
   config.vehicle_count = 20'000;
   traffic::MultiRsuWorkload workload(config);
   const std::vector<RsuSite> sites = sites_for(workload);
   const ChannelConfig channel = lossy_channel();
 
-  const auto run = [&](unsigned workers, IngestMode mode,
-                       PipelineMode pipeline, IngestStats* stats_out) {
-    auto sim = std::make_unique<VcpsSimulation>(sim_config(channel), sites);
-    sim->begin_period();
-    const IngestStats stats = sim->drive_vehicles(
-        config.vehicle_count, provider_for(workload), workers, mode, pipeline);
-    if (stats_out != nullptr) *stats_out = stats;
-    sim->end_period();
-    return sim;
-  };
-
   for (const unsigned workers : {1u, 2u, 4u, 7u}) {
-    IngestStats scalar_stats;
-    const auto scalar = run(workers, IngestMode::kScalar, PipelineMode::kAuto,
-                            &scalar_stats);
-    EXPECT_STREQ(scalar_stats.pipeline, "off");  // scalar engine never overlaps
-    for (const PipelineMode pipeline :
-         {PipelineMode::kOff, PipelineMode::kOverlap}) {
-      IngestStats batch_stats;
-      const auto batch = run(workers, IngestMode::kBatch, pipeline,
-                             &batch_stats);
-      EXPECT_STREQ(batch_stats.pipeline,
-                   pipeline == PipelineMode::kOverlap ? "overlap" : "off")
-          << "workers " << workers;
-      EXPECT_EQ(batch_stats.exchanges, scalar_stats.exchanges)
-          << "workers " << workers;
-      expect_reports_identical(*scalar, *batch);
-      EXPECT_EQ(batch->channel().queries_lost(),
-                scalar->channel().queries_lost())
-          << "workers " << workers;
-      EXPECT_EQ(batch->channel().replies_lost(),
-                scalar->channel().replies_lost())
-          << "workers " << workers;
-      EXPECT_EQ(batch->channel().replies_duplicated(),
-                scalar->channel().replies_duplicated())
-          << "workers " << workers;
+    SCOPED_TRACE(testing::Message() << "workers " << workers);
+    IngestStats scalar_stats, batch_stats;
+    const auto scalar = run_with_mode(channel, workload, sites, workers,
+                                      IngestMode::kScalar, &scalar_stats);
+    const auto batch = run_with_mode(channel, workload, sites, workers,
+                                     IngestMode::kBatch, &batch_stats);
+    EXPECT_EQ(batch_stats.exchanges, scalar_stats.exchanges);
+    expect_reports_identical(*scalar, *batch);
+    expect_tallies_identical(*scalar, *batch);
+  }
+}
+
+TEST(BatchIngest, OwnerPassTwoRsusSevenWorkers) {
+  // K = 2 < workers: two owners, five workers that only encode.
+  traffic::MultiRsuConfig config = workload_config();
+  config.rsu_count = 2;
+  config.min_visits = 1;
+  config.max_visits = 2;
+  for (const ChannelConfig& channel : {ChannelConfig{}, lossy_channel()}) {
+    expect_batch_exact(config, channel, {2u, 7u});
+  }
+}
+
+TEST(BatchIngest, OwnerPassOneRsuOutweighsAWorkersShare) {
+  // A steep popularity skew puts one RSU in almost every itinerary, so
+  // it alone carries more than 1/workers of the exchanges, and at 7
+  // workers the equal-exchange cut leaves the runs after it empty.
+  traffic::MultiRsuConfig config = workload_config();
+  config.zipf_exponent = 3.0;
+  config.min_visits = 2;
+  config.max_visits = 2;
+  {
+    traffic::MultiRsuWorkload workload(config);
+    const std::vector<RsuSite> sites = sites_for(workload);
+    const auto sim = run_with_mode({}, workload, sites, 4, IngestMode::kBatch);
+    std::uint64_t total = 0;
+    for (std::size_t r = 0; r < sim->rsu_count(); ++r) {
+      total += sim->rsu(r).state().counter();
     }
+    ASSERT_GT(sim->rsu(0).state().counter() * 4, total);
+  }
+  for (const ChannelConfig& channel : {ChannelConfig{}, lossy_channel()}) {
+    expect_batch_exact(config, channel, {2u, 4u, 7u});
+  }
+}
+
+TEST(BatchIngest, OwnerPassPartialLastRound) {
+  // 65539 vehicles: a partial last round on every worker count — 3
+  // vehicles on 1, 2 and 4 workers (4 workers then encode only 3
+  // sub-slices, so the fourth worker's columns still hold the previous
+  // round's tuples and must be ignored), and one short round on 7.
+  traffic::MultiRsuConfig config = workload_config();
+  config.vehicle_count = 4 * 16384 + 3;
+  for (const ChannelConfig& channel : {ChannelConfig{}, lossy_channel()}) {
+    expect_batch_exact(config, channel, {2u, 4u, 7u});
   }
 }
 
@@ -228,20 +287,11 @@ TEST(BatchIngest, StageSecondsPopulatedOnBatchPathOnly) {
   IngestStats batch_stats;
   run_with_mode(lossy_channel(), workload, sites, 2, IngestMode::kBatch,
                 &batch_stats);
-  // Wall clocks tick: with 6000 vehicles every stage measures > 0, and
-  // the default schedule (kAuto -> overlap) runs the sub-slice loop.
+  // Wall clocks tick: with 6000 vehicles every stage measures > 0.
   EXPECT_GT(batch_stats.materialize_seconds, 0.0);
   EXPECT_GT(batch_stats.hash_seconds, 0.0);
   EXPECT_GT(batch_stats.channel_seconds, 0.0);
   EXPECT_GT(batch_stats.scatter_seconds, 0.0);
-  EXPECT_STREQ(batch_stats.pipeline, "overlap");
-  EXPECT_GT(batch_stats.pipeline_seconds, 0.0);
-
-  IngestStats off_stats;
-  run_with_mode(lossy_channel(), workload, sites, 2, IngestMode::kBatch,
-                &off_stats, PipelineMode::kOff);
-  EXPECT_STREQ(off_stats.pipeline, "off");
-  EXPECT_EQ(off_stats.pipeline_seconds, 0.0);
 
   IngestStats scalar_stats;
   run_with_mode(lossy_channel(), workload, sites, 2, IngestMode::kScalar,
@@ -250,7 +300,6 @@ TEST(BatchIngest, StageSecondsPopulatedOnBatchPathOnly) {
   EXPECT_EQ(scalar_stats.hash_seconds, 0.0);
   EXPECT_EQ(scalar_stats.channel_seconds, 0.0);
   EXPECT_EQ(scalar_stats.scatter_seconds, 0.0);
-  EXPECT_EQ(scalar_stats.pipeline_seconds, 0.0);
 }
 
 TEST(BatchIngest, MaterializationReproducesSeedConfigItineraries) {
@@ -342,12 +391,7 @@ TEST(BatchIngest, BulkProviderMatchesPerVehicleProvider) {
     bulk->end_period();
     EXPECT_EQ(bulk_stats.exchanges, per_vehicle_stats.exchanges);
     expect_reports_identical(*per_vehicle, *bulk);
-    EXPECT_EQ(bulk->channel().queries_lost(),
-              per_vehicle->channel().queries_lost());
-    EXPECT_EQ(bulk->channel().replies_lost(),
-              per_vehicle->channel().replies_lost());
-    EXPECT_EQ(bulk->channel().replies_duplicated(),
-              per_vehicle->channel().replies_duplicated());
+    expect_tallies_identical(*per_vehicle, *bulk);
   }
 }
 

@@ -2,10 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "common/bit_array.h"
+#include "common/hashing.h"
+#include "core/interval.h"
+#include "core/rsu_state.h"
+#include "obs/metrics.h"
 
 namespace vlm::vcps {
 namespace {
@@ -53,15 +60,15 @@ TEST(CentralServer, RejectsBadReports) {
   CentralServer server(vlm_config());
   server.register_rsu(core::RsuId{1}, 1000.0);
   server.begin_period(1);
-  // Unregistered RSU.
-  EXPECT_THROW(server.ingest(make_report(core::RsuId{9}, 1, 10, 1 << 13, {1})),
-               std::invalid_argument);
-  // Wrong period.
-  EXPECT_THROW(server.ingest(make_report(core::RsuId{1}, 2, 10, 1 << 13, {1})),
-               std::invalid_argument);
+  // Unregistered RSU, and a report for another period: quarantined
+  // without being decoded.
+  EXPECT_EQ(server.ingest(make_report(core::RsuId{9}, 1, 10, 1 << 13, {1})),
+            QuarantineReason::kUnregistered);
+  EXPECT_EQ(server.ingest(make_report(core::RsuId{1}, 2, 10, 1 << 13, {1})),
+            QuarantineReason::kWrongPeriod);
   // Byte buffer length mismatch, either way, and a bit set past the
   // array size (m = 4 leaves four unused bits in its byte): the buffers
-  // BitArray::from_bytes rejects, checked in place.
+  // BitArray::from_bytes rejects.
   RsuReport bad = make_report(core::RsuId{1}, 1, 10, 1 << 13, {1});
   bad.bits.pop_back();
   EXPECT_THROW(server.ingest(bad), std::invalid_argument);
@@ -70,10 +77,173 @@ TEST(CentralServer, RejectsBadReports) {
   RsuReport past_end = make_report(core::RsuId{1}, 1, 2, 4, {1});
   past_end.bits[0] |= 0x10;
   EXPECT_THROW(server.ingest(past_end), std::invalid_argument);
-  // Duplicate.
+  // Duplicate: the first report stays.
   server.ingest(make_report(core::RsuId{1}, 1, 10, 1 << 13, {1}));
-  EXPECT_THROW(server.ingest(make_report(core::RsuId{1}, 1, 10, 1 << 13, {1})),
-               std::invalid_argument);
+  EXPECT_EQ(server.ingest(make_report(core::RsuId{1}, 1, 10, 1 << 13, {1})),
+            QuarantineReason::kDuplicate);
+  EXPECT_EQ(server.reports_received(), 1u);
+  EXPECT_EQ(server.quarantine_reason(core::RsuId{1}), QuarantineReason::kNone);
+  EXPECT_EQ(server.stats().reports_ingested, 1u);
+  EXPECT_EQ(server.stats().reports_quarantined, 3u);
+}
+
+bool same_bits(double x, double y) {
+  return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+}
+
+bool same(const core::EstimateInterval& x, const core::EstimateInterval& y) {
+  return same_bits(x.n_c_hat, y.n_c_hat) && same_bits(x.stddev, y.stddev) &&
+         same_bits(x.lower, y.lower) && same_bits(x.upper, y.upper) &&
+         same_bits(x.floor_stddev, y.floor_stddev) && x.degraded == y.degraded;
+}
+
+bool same(const core::PairEstimate& x, const core::PairEstimate& y) {
+  return same_bits(x.n_c_hat, y.n_c_hat) && same_bits(x.raw, y.raw) &&
+         same_bits(x.v_x, y.v_x) && same_bits(x.v_y, y.v_y) &&
+         same_bits(x.v_c, y.v_c) && x.m_x == y.m_x && x.m_y == y.m_y &&
+         x.words_scanned == y.words_scanned && x.saturated == y.saturated;
+}
+
+// An honest report of vehicles [first_vehicle, first_vehicle + volume):
+// vehicle v sets bit hash(v, slot) mod m, with one of s = 2 slots per
+// RSU as in the VLM encoding, so overlapping ranges share real traffic.
+RsuReport traffic_report(core::RsuId id, std::uint64_t period, std::size_t m,
+                         std::uint64_t first_vehicle, std::uint64_t volume) {
+  const std::uint64_t slot = common::mix64(id.value) % 2;
+  core::RsuState state(m);
+  for (std::uint64_t v = first_vehicle; v < first_vehicle + volume; ++v) {
+    state.record(common::mix64(v ^ (slot << 62)) % m);
+  }
+  return RsuReport{id, period, state.counter(), m, state.bits().to_bytes()};
+}
+
+std::uint64_t counter_value(const char* name) {
+  return obs::MetricsRegistry::global().counter(name).value();
+}
+
+TEST(CentralServer, StoredStatesMatchRebuiltReports) {
+  // Reports arrive out of id order, with a quarantined RSU in the middle;
+  // every answer the server gives from its stored states must equal the
+  // per-pair oracle on states rebuilt from the same reports.
+  CentralServer server(vlm_config());
+  const std::vector<RsuReport> reports = {
+      traffic_report(core::RsuId{5}, 1, 1 << 13, 0, 900),
+      traffic_report(core::RsuId{2}, 1, 1 << 12, 300, 400),
+      make_report(core::RsuId{9}, 1, 1, 1 << 13, {1, 2}),  // impossible
+      traffic_report(core::RsuId{1}, 1, 1 << 14, 100, 1500),
+      traffic_report(core::RsuId{7}, 1, 1 << 13, 600, 800),
+  };
+  for (const RsuReport& report : reports) {
+    server.register_rsu(report.rsu, 1000.0);
+  }
+  server.begin_period(1);
+  for (const RsuReport& report : reports) {
+    EXPECT_EQ(server.ingest(report), report.rsu == core::RsuId{9}
+                                         ? QuarantineReason::kZeroCountAnomaly
+                                         : QuarantineReason::kNone);
+  }
+
+  const std::vector<core::RsuId> order = server.matrix_order();
+  const std::vector<core::RsuId> want = {core::RsuId{1}, core::RsuId{2},
+                                         core::RsuId{5}, core::RsuId{7}};
+  EXPECT_EQ(order, want);
+  EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
+  std::vector<core::RsuState> rebuilt;
+  for (const core::RsuId id : order) {
+    for (const RsuReport& report : reports) {
+      if (report.rsu == id) rebuilt.push_back(rebuild_state(report));
+    }
+  }
+  ASSERT_EQ(rebuilt.size(), order.size());
+
+  const core::IntervalEstimator oracle(server.scheme().s(), 1.96);
+  const core::OdMatrix matrix = server.estimate_matrix();
+  ASSERT_EQ(matrix.rsu_count(), order.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    for (std::size_t j = 0; j < order.size(); ++j) {
+      if (i == j) continue;
+      SCOPED_TRACE(testing::Message() << "pair " << order[i].value << ", "
+                                      << order[j].value);
+      const core::EstimateInterval want_interval =
+          oracle.estimate(rebuilt[i], rebuilt[j]);
+      EXPECT_TRUE(same(server.estimate_with_interval(order[i], order[j]),
+                       want_interval));
+      EXPECT_TRUE(same(server.estimate(order[i], order[j]),
+                       server.scheme().estimator().estimate(rebuilt[i],
+                                                            rebuilt[j])));
+      if (i < j) {
+        EXPECT_TRUE(same(matrix.at(i, j), want_interval));
+      }
+    }
+  }
+}
+
+TEST(CentralServer, LateAndDuplicateReportsLeaveThePeriodUnchanged) {
+  // Reports that arrive during the close of period 2, after every RSU
+  // has reported: a repeat with different content, a late report of
+  // period 1, a report from an unknown RSU, and a second report from an
+  // RSU whose first one was quarantined. None may abort the close or
+  // change a stored state, a history value or a matrix cell.
+  CentralServer server(vlm_config());
+  for (std::uint64_t id = 1; id <= 4; ++id) {
+    server.register_rsu(core::RsuId{id}, 1000.0);
+  }
+  server.begin_period(1);
+  server.begin_period(2);
+  server.ingest(traffic_report(core::RsuId{1}, 2, 1 << 13, 0, 700));
+  server.ingest(traffic_report(core::RsuId{2}, 2, 1 << 12, 200, 500));
+  server.ingest(traffic_report(core::RsuId{3}, 2, 1 << 13, 400, 900));
+  ASSERT_EQ(server.ingest(make_report(core::RsuId{4}, 2, 1, 1 << 13, {1, 2})),
+            QuarantineReason::kZeroCountAnomaly);
+
+  std::vector<double> history;
+  for (std::uint64_t id = 1; id <= 4; ++id) {
+    history.push_back(server.history_volume(core::RsuId{id}));
+  }
+  const core::OdMatrix before = server.estimate_matrix();
+  const std::size_t quarantined_before = server.stats().reports_quarantined;
+  const std::uint64_t duplicate_before =
+      counter_value("server/quarantine/duplicate");
+  const std::uint64_t wrong_period_before =
+      counter_value("server/quarantine/wrong_period");
+  const std::uint64_t unregistered_before =
+      counter_value("server/quarantine/unregistered");
+
+  EXPECT_EQ(server.ingest(traffic_report(core::RsuId{2}, 2, 1 << 12, 0, 90)),
+            QuarantineReason::kDuplicate);
+  EXPECT_EQ(server.ingest(traffic_report(core::RsuId{3}, 1, 1 << 13, 0, 80)),
+            QuarantineReason::kWrongPeriod);
+  EXPECT_EQ(server.ingest(traffic_report(core::RsuId{8}, 2, 1 << 13, 0, 80)),
+            QuarantineReason::kUnregistered);
+  EXPECT_EQ(server.ingest(traffic_report(core::RsuId{4}, 2, 1 << 13, 0, 80)),
+            QuarantineReason::kDuplicate);
+
+  EXPECT_EQ(server.reports_received(), 3u);
+  EXPECT_EQ(server.quarantined_count(), 1u);
+  EXPECT_EQ(server.quarantine_reason(core::RsuId{4}),
+            QuarantineReason::kZeroCountAnomaly);
+  EXPECT_EQ(server.quarantine_reason(core::RsuId{8}), QuarantineReason::kNone);
+  EXPECT_EQ(server.stats().reports_quarantined, quarantined_before + 4);
+  EXPECT_EQ(counter_value("server/quarantine/duplicate") - duplicate_before,
+            2u);
+  EXPECT_EQ(
+      counter_value("server/quarantine/wrong_period") - wrong_period_before,
+      1u);
+  EXPECT_EQ(
+      counter_value("server/quarantine/unregistered") - unregistered_before,
+      1u);
+  for (std::uint64_t id = 1; id <= 4; ++id) {
+    EXPECT_EQ(server.history_volume(core::RsuId{id}), history[id - 1])
+        << "RSU " << id;
+  }
+  const core::OdMatrix after = server.estimate_matrix();
+  ASSERT_EQ(after.rsu_count(), before.rsu_count());
+  for (std::size_t a = 0; a < after.rsu_count(); ++a) {
+    for (std::size_t b = a + 1; b < after.rsu_count(); ++b) {
+      EXPECT_TRUE(same(after.at(a, b), before.at(a, b)))
+          << "cell " << a << ", " << b;
+    }
+  }
 }
 
 TEST(CentralServer, PeriodsMustAdvance) {
