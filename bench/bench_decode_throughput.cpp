@@ -1,5 +1,5 @@
 // Decode-throughput bench: the seed's serial materializing decode vs the
-// per-pair fused path vs the cache-blocked batch decode, on a 64-RSU
+// per-pair estimator vs the cache-blocked batch decode, on a 64-RSU
 // workload at m = 2^22.
 //
 //   $ bench_decode_throughput                  # full-size run, JSON out
@@ -10,12 +10,13 @@
 //   - "naive_serial_seconds": per-pair unfold-copy + OR materialization +
 //     three separate popcount sweeps (the decode path before the fused
 //     kernel existed), run serially over all K(K-1)/2 pairs;
-//   - "pairwise_serial_seconds": estimate_od_matrix, per-pair fused
-//     kernel, 1 worker (the committed path before cache blocking);
+//   - "pairwise_serial_seconds": IntervalEstimator::estimate (the fused
+//     per-pair kernel) serially over all pairs — the single-query path
+//     and the decode's reference;
 //   - "blocked_serial_seconds" / "blocked_parallel_seconds": the
 //     cache-blocked batch decode — asserted bit-identical to the
-//     pairwise result cell by cell ("blocked_bit_identical_to_pairwise")
-//     and across worker counts ("parallel_bit_identical_to_serial");
+//     per-pair cells ("blocked_bit_identical_to_pairwise") and across
+//     worker counts ("parallel_bit_identical_to_serial");
 //   - with --sweep, a "sweep" array covering K ∈ {8, 24, 64} × several
 //     tile sizes, each entry carrying its own identity flag, summarized
 //     in "sweep_all_identical";
@@ -101,16 +102,44 @@ core::EstimateInterval naive_pair(const core::IntervalEstimator& interval,
   return out;
 }
 
+bool same_cell(const core::EstimateInterval& a,
+               const core::EstimateInterval& b) {
+  return a.n_c_hat == b.n_c_hat && a.stddev == b.stddev &&
+         a.lower == b.lower && a.upper == b.upper &&
+         a.floor_stddev == b.floor_stddev && a.degraded == b.degraded;
+}
+
+// The per-pair reference: IntervalEstimator::estimate on every pair, in
+// the matrix's row-major triangle order.
+std::vector<core::EstimateInterval> per_pair_cells(
+    std::span<const core::RsuState> states,
+    const core::IntervalEstimator& interval) {
+  std::vector<core::EstimateInterval> cells;
+  cells.reserve(states.size() * (states.size() - 1) / 2);
+  for (std::size_t a = 0; a < states.size(); ++a) {
+    for (std::size_t b = a + 1; b < states.size(); ++b) {
+      cells.push_back(interval.estimate(states[a], states[b]));
+    }
+  }
+  return cells;
+}
+
+// Whether every cell of `matrix` equals `reference`'s, in that order.
+bool cells_identical(std::span<const core::EstimateInterval> reference,
+                     const core::OdMatrix& matrix) {
+  std::size_t p = 0;
+  for (std::size_t i = 0; i < matrix.rsu_count(); ++i) {
+    for (std::size_t j = i + 1; j < matrix.rsu_count(); ++j) {
+      if (!same_cell(matrix.at(i, j), reference[p++])) return false;
+    }
+  }
+  return true;
+}
+
 bool cells_identical(const core::OdMatrix& a, const core::OdMatrix& b) {
   for (std::size_t i = 0; i < a.rsu_count(); ++i) {
     for (std::size_t j = i + 1; j < a.rsu_count(); ++j) {
-      const core::EstimateInterval& ca = a.at(i, j);
-      const core::EstimateInterval& cb = b.at(i, j);
-      if (ca.n_c_hat != cb.n_c_hat || ca.stddev != cb.stddev ||
-          ca.lower != cb.lower || ca.upper != cb.upper ||
-          ca.floor_stddev != cb.floor_stddev || ca.degraded != cb.degraded) {
-        return false;
-      }
+      if (!same_cell(a.at(i, j), b.at(i, j))) return false;
     }
   }
   return true;
@@ -139,7 +168,7 @@ int main(int argc, char** argv) {
   parser.add_int("tile-words", 0, "blocked-path tile size in words (0 = auto)");
   parser.add_flag("sweep", false,
                   "also sweep K in {8,24,64} x tile sizes and assert "
-                  "blocked == pairwise for every combination");
+                  "blocked == per-pair for every combination");
   parser.add_int("prune-rsus", 0,
                  "pruned-section deployment size (0 = same as --rsus)");
   parser.add_int("prune-stride", 16,
@@ -186,11 +215,12 @@ int main(int argc, char** argv) {
   const core::IntervalEstimator interval(2, 1.96);
   const core::PairEstimator estimator(2);
 
+  const std::size_t pairs = k * (k - 1) / 2;
   double naive_best = 1e300, pairwise_best = 1e300, blocked_serial_best = 1e300,
          blocked_parallel_best = 1e300;
-  core::OdMatrix pairwise(k), blocked_serial(k), blocked_parallel(k);
-  core::DecodeStats pairwise_stats, blocked_serial_stats,
-      blocked_parallel_stats;
+  std::vector<core::EstimateInterval> pairwise;
+  core::OdMatrix blocked_serial(k), blocked_parallel(k);
+  core::DecodeStats blocked_serial_stats, blocked_parallel_stats;
   double naive_total = 0.0;
   for (int rep = 0; rep < repeat; ++rep) {
     // Seed path: serial loop, materializing decode per pair.
@@ -205,8 +235,7 @@ int main(int argc, char** argv) {
     naive_best = std::min(naive_best, t0.seconds());
 
     const obs::Stopwatch t1;
-    pairwise = decode(main_states, core::DecodeMode::kPairwise, 1,
-                      tile_words, &pairwise_stats);
+    pairwise = per_pair_cells(main_states, interval);
     pairwise_best = std::min(pairwise_best, t1.seconds());
 
     const obs::Stopwatch t2;
@@ -220,14 +249,17 @@ int main(int argc, char** argv) {
     blocked_parallel_best = std::min(blocked_parallel_best, t3.seconds());
   }
 
-  const bool blocked_identical =
-      cells_identical(pairwise, blocked_serial) &&
-      naive_total == pairwise.total_estimated_common();
+  double pairwise_total = 0.0;
+  for (const core::EstimateInterval& cell : pairwise) {
+    pairwise_total += cell.n_c_hat;
+  }
+  const bool blocked_identical = cells_identical(pairwise, blocked_serial) &&
+                                 naive_total == pairwise_total;
   const bool parallel_identical =
       cells_identical(blocked_serial, blocked_parallel);
 
   // Optional sweep: every (K, tile_words) combination must reproduce the
-  // pairwise cells bit for bit — the blocking is a traffic optimization,
+  // per-pair cells bit for bit — the blocking is a traffic optimization,
   // never an approximation.
   std::string sweep_json;
   bool sweep_identical = true;
@@ -238,9 +270,8 @@ int main(int argc, char** argv) {
     bool first = true;
     for (const std::size_t kk : kSweepK) {
       const std::span<const core::RsuState> subset(states.data(), kk);
-      core::DecodeStats ref_stats;
-      const core::OdMatrix reference =
-          decode(subset, core::DecodeMode::kPairwise, 1, 0, &ref_stats);
+      const std::vector<core::EstimateInterval> reference =
+          per_pair_cells(subset, interval);
       for (const std::size_t tiles : kSweepTiles) {
         core::DecodeStats stats;
         const obs::Stopwatch ts;
@@ -350,12 +381,8 @@ int main(int argc, char** argv) {
         pruned_no_dropped = pruned_no_dropped && exact.n_c_hat <= min_volume;
         continue;
       }
-      const core::EstimateInterval& got = pruned.at(a, b);
       pruned_survivors_identical =
-          pruned_survivors_identical && got.n_c_hat == exact.n_c_hat &&
-          got.stddev == exact.stddev && got.lower == exact.lower &&
-          got.upper == exact.upper && got.floor_stddev == exact.floor_stddev &&
-          got.degraded == exact.degraded;
+          pruned_survivors_identical && same_cell(pruned.at(a, b), exact);
     }
   }
   const double pruned_speedup =
@@ -417,12 +444,12 @@ int main(int argc, char** argv) {
       "\"pairs_assessed\": %zu, \"pairs_degraded\": %zu, "
       "\"predicted_rel_err_max\": %.4f, \"predicted_rel_err_mean\": %.4f},\n"
       " \"metrics\": %s}\n",
-      k, m, pairwise_stats.pairs_decoded, blocked_parallel_stats.workers,
+      k, m, pairs, blocked_parallel_stats.workers,
       blocked_parallel_stats.kernel_isa, blocked_serial_stats.tile_words,
       blocked_serial_stats.dram_passes_saved, naive_best, pairwise_best,
       blocked_serial_best, blocked_parallel_best, naive_best / pairwise_best,
       pairwise_best / blocked_serial_best,
-      pairwise_stats.pairs_per_second(),
+      pairwise_best > 0.0 ? static_cast<double>(pairs) / pairwise_best : 0.0,
       blocked_serial_best > 0.0
           ? static_cast<double>(blocked_serial_stats.pairs_decoded) /
                 blocked_serial_best

@@ -1,20 +1,18 @@
 // Encode-throughput bench: the serial vehicle-at-a-time protocol ingest
-// vs the sharded parallel engine (drive_vehicles), on a Zipf multi-RSU
-// workload, plus the raw batch-encode kernel (Encoder::bit_indices into a
-// ShardedBitArray) isolated from the protocol.
+// (drive_vehicle) vs the columnar parallel engine (drive_vehicles), on a
+// Zipf multi-RSU workload, plus the raw batch-encode kernel
+// (Encoder::bit_indices into one bit array per worker, OR-merged)
+// isolated from the protocol.
 //
 //   $ bench_encode_throughput                                  # 24 RSUs, 1M vehicles
 //   $ bench_encode_throughput --rsus 6 --vehicles 20000 --repeat 1   # smoke
 //
 // Emits one JSON object so CI and scripts can track the speedup:
-//   - "serial_seconds": drive_vehicle per vehicle (the pre-engine path);
-//   - "sharded_serial_seconds": drive_vehicles with 1 worker;
-//   - "sharded_parallel_seconds": drive_vehicles with one worker per core
-//     — asserted report-identical (bits AND counters) to both runs above;
-//   - "batch_*": drive_vehicles through the columnar batch pipeline
-//     (IngestMode::kBatch), serial and parallel, with a
-//     "batch_bit_identical_to_serial" flag that covers every checked
-//     worker count;
+//   - "serial_seconds": drive_vehicle per vehicle (the reference loop);
+//   - "batch_*": drive_vehicles with 1 worker and with one worker per
+//     core, with a "batch_bit_identical_to_serial" flag asserting that
+//     the reports (bits AND counters) equal the serial loop's at every
+//     checked worker count;
 //   - "raw_*": the protocol-free encode kernel on the largest RSU.
 // Exits non-zero if any run's reports disagree.
 #include <algorithm>
@@ -58,7 +56,7 @@ bool reports_identical(const vcps::VcpsSimulation& a,
 
 int main(int argc, char** argv) {
   common::ArgParser parser("bench_encode_throughput",
-                           "sharded parallel ingest vs the serial encode path");
+                           "parallel ingest vs the serial encode path");
   parser.add_int("rsus", 24, "deployment size K (zipf workload)");
   parser.add_int("vehicles", 1'000'000, "vehicles per period");
   parser.add_int("workers", 0, "ingest workers (0 = one per core)");
@@ -95,17 +93,8 @@ int main(int argc, char** argv) {
         static_cast<double>(workload.node_volumes()[r])});
   }
 
-  const vcps::ItineraryProvider provider =
-      [&workload, k](std::uint64_t v, std::vector<std::size_t>& positions) {
-        thread_local common::VisitedMask visited(0);
-        thread_local std::vector<std::uint32_t> rsus;
-        if (visited.universe_size() != k) visited = common::VisitedMask(k);
-        workload.itinerary(v, visited, rsus);
-        positions.assign(rsus.begin(), rsus.end());
-      };
-
-  // Native CSR bulk form for the batch runs: one provider call per worker
-  // slice, no per-vehicle std::function hop or positions copy.
+  // Native CSR bulk form: one provider call per worker sub-slice, no
+  // per-vehicle std::function hop or positions copy.
   const vcps::BulkItineraryProvider bulk_provider =
       [&workload, k](std::uint64_t begin, std::uint64_t end,
                      common::UninitVector<std::uint32_t>& positions,
@@ -134,62 +123,47 @@ int main(int argc, char** argv) {
     return sim;
   };
 
-  // Same period through the sharded engine, with the per-slice engine
-  // pinned explicitly so "sharded_*" stays comparable across releases
-  // (always the per-vehicle scalar loop) while "batch_*" measures the
-  // columnar pipeline.
-  // Scalar runs keep the per-vehicle provider for comparability with the
-  // pre-refactor releases; batch runs feed the bulk CSR form the pipeline
-  // is designed around (a test pins that the two forms are bit-identical).
-  auto run_sharded = [&](unsigned w, vcps::IngestMode mode, double& seconds,
-                         vcps::IngestStats* stats_out) {
+  // Same period through drive_vehicles.
+  auto run_batch = [&](unsigned w, double& seconds,
+                       vcps::IngestStats* stats_out) {
     auto sim = std::make_unique<vcps::VcpsSimulation>(sim_config, sites);
     sim->begin_period();
     const obs::Stopwatch t0;
     const vcps::IngestStats stats =
-        mode == vcps::IngestMode::kBatch
-            ? sim->drive_vehicles(vehicles, bulk_provider, w, mode)
-            : sim->drive_vehicles(vehicles, provider, w, mode);
+        sim->drive_vehicles(vehicles, bulk_provider, w);
     seconds = t0.seconds();
     sim->end_period();
     if (stats_out != nullptr) *stats_out = stats;
     return sim;
   };
 
-  double serial_best = 1e300, sharded_serial_best = 1e300,
-         sharded_parallel_best = 1e300, batch_serial_best = 1e300,
+  double serial_best = 1e300, batch_serial_best = 1e300,
          batch_parallel_best = 1e300;
-  std::unique_ptr<vcps::VcpsSimulation> serial, sharded1, shardedN, batchN;
-  vcps::IngestStats parallel_stats, batch_stats;
+  std::unique_ptr<vcps::VcpsSimulation> serial, batch1, batchN;
+  vcps::IngestStats batch_stats;
   for (int rep = 0; rep < repeat; ++rep) {
     double s = 0.0;
     serial = run_serial(s);
     serial_best = std::min(serial_best, s);
-    sharded1 = run_sharded(1, vcps::IngestMode::kScalar, s, nullptr);
-    sharded_serial_best = std::min(sharded_serial_best, s);
-    shardedN = run_sharded(workers, vcps::IngestMode::kScalar, s,
-                           &parallel_stats);
-    sharded_parallel_best = std::min(sharded_parallel_best, s);
-    run_sharded(1, vcps::IngestMode::kBatch, s, nullptr);
+    batch1 = run_batch(1, s, nullptr);
     batch_serial_best = std::min(batch_serial_best, s);
-    batchN = run_sharded(workers, vcps::IngestMode::kBatch, s, &batch_stats);
+    batchN = run_batch(workers, s, &batch_stats);
     batch_parallel_best = std::min(batch_parallel_best, s);
   }
-  const bool identical = reports_identical(*serial, *sharded1) &&
-                         reports_identical(*serial, *shardedN);
 
-  // Batch acceptance gate: for EVERY checked worker count, the columnar
-  // engine's reports must equal the serial per-vehicle path bit for bit.
-  bool batch_identical = reports_identical(*serial, *batchN);
-  for (const unsigned w : {1u, 2u, std::max(2u, workers / 2)}) {
+  // Acceptance gate: for EVERY checked worker count, the columnar
+  // engine's reports must equal the serial per-vehicle loop bit for bit.
+  bool batch_identical = reports_identical(*serial, *batch1) &&
+                         reports_identical(*serial, *batchN);
+  for (const unsigned w : {2u, std::max(2u, workers / 2)}) {
     double s = 0.0;
-    const auto batch_w = run_sharded(w, vcps::IngestMode::kBatch, s, nullptr);
+    const auto batch_w = run_batch(w, s, nullptr);
     batch_identical = batch_identical && reports_identical(*serial, *batch_w);
   }
 
   // Raw kernel: batch-encode every vehicle against the busiest RSU —
   // serial bit_index + set() vs per-worker bit_indices + set_bulk() into
-  // ShardedBitArray shards.
+  // one array per worker, OR-merged with merge_or.
   std::vector<core::VehicleIdentity> identities(vehicles);
   for (std::uint64_t v = 0; v < vehicles; ++v) {
     identities[v] = core::synthetic_vehicle(seed, v + 1);
@@ -210,24 +184,28 @@ int main(int argc, char** argv) {
     raw_serial_best = std::min(raw_serial_best, t0.seconds());
     raw_serial_bits = bits;
 
-    common::ShardedBitArray sharded(target.array_size(), workers);
+    std::vector<common::BitArray> per_worker(
+        workers, common::BitArray(target.array_size()));
     const obs::Stopwatch t1;
     common::parallel_slices(
         identities.size(), workers,
         [&](unsigned worker, std::size_t begin, std::size_t end) {
           constexpr std::size_t kChunk = 8192;
           std::vector<std::size_t> indices(kChunk);
-          common::BitArray& shard = sharded.shard(worker);
+          common::BitArray& own = per_worker[worker];
           for (std::size_t i = begin; i < end; i += kChunk) {
             const std::size_t len = std::min(kChunk, end - i);
             const std::span<std::size_t> out(indices.data(), len);
             encoder.bit_indices(
                 std::span<const core::VehicleIdentity>(&identities[i], len),
                 raw_rsu, target, out);
-            shard.set_bulk(out);
+            own.set_bulk(out);
           }
         });
-    raw_parallel_bits = sharded.merged();
+    raw_parallel_bits = per_worker.front();
+    for (unsigned w = 1; w < workers; ++w) {
+      raw_parallel_bits.merge_or(per_worker[w]);
+    }
     raw_parallel_best = std::min(raw_parallel_best, t1.seconds());
   }
   const bool raw_identical = raw_serial_bits == raw_parallel_bits;
@@ -278,12 +256,7 @@ int main(int argc, char** argv) {
       "%llu,\n"
       " \"kernel_isa\": \"%s\",\n"
       " \"serial_seconds\": %.6f,\n"
-      " \"sharded_serial_seconds\": %.6f,\n"
-      " \"sharded_parallel_seconds\": %.6f,\n"
-      " \"speedup_sharded_serial\": %.2f,\n"
-      " \"speedup_sharded_parallel\": %.2f,\n"
       " \"serial_vehicles_per_second\": %.0f,\n"
-      " \"parallel_vehicles_per_second\": %.0f,\n"
       " \"batch_serial_seconds\": %.6f,\n"
       " \"batch_parallel_seconds\": %.6f,\n"
       " \"speedup_batch_serial\": %.2f,\n"
@@ -299,17 +272,13 @@ int main(int argc, char** argv) {
       " \"raw_encode_serial_seconds\": %.6f,\n"
       " \"raw_encode_parallel_seconds\": %.6f,\n"
       " \"raw_encode_parallel_vehicles_per_second\": %.0f,\n"
-      " \"reports_bit_identical\": %s,\n"
       " \"batch_bit_identical_to_serial\": %s,\n"
       " \"raw_bits_identical\": %s,\n"
       " \"metrics\": %s}\n",
-      k, static_cast<unsigned long long>(vehicles), parallel_stats.workers,
-      static_cast<unsigned long long>(parallel_stats.exchanges),
-      parallel_stats.kernel_isa, serial_best,
-      sharded_serial_best, sharded_parallel_best,
-      serial_best / sharded_serial_best, serial_best / sharded_parallel_best,
-      per_sec(serial_best), per_sec(sharded_parallel_best), batch_serial_best,
-      batch_parallel_best, serial_best / batch_serial_best,
+      k, static_cast<unsigned long long>(vehicles), batch_stats.workers,
+      static_cast<unsigned long long>(batch_stats.exchanges),
+      batch_stats.kernel_isa, serial_best, per_sec(serial_best),
+      batch_serial_best, batch_parallel_best, serial_best / batch_serial_best,
       serial_best / batch_parallel_best, per_sec(batch_parallel_best),
       batch_stats.materialize_seconds, batch_stats.hash_seconds,
       batch_stats.channel_seconds, batch_stats.scatter_seconds,
@@ -320,10 +289,7 @@ int main(int argc, char** argv) {
       trace_scope_ns, trace_disabled_overhead,
       trace_overhead_ok ? "true" : "false",
       raw_serial_best, raw_parallel_best, per_sec(raw_parallel_best),
-      identical ? "true" : "false", batch_identical ? "true" : "false",
-      raw_identical ? "true" : "false",
+      batch_identical ? "true" : "false", raw_identical ? "true" : "false",
       obs::to_json(obs::MetricsRegistry::global().snapshot(), {}, 2).c_str());
-  return identical && batch_identical && raw_identical && trace_overhead_ok
-             ? 0
-             : 1;
+  return batch_identical && raw_identical && trace_overhead_ok ? 0 : 1;
 }

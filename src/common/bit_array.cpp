@@ -8,7 +8,6 @@
 #include "common/parallel.h"
 #include "common/require.h"
 #include "common/uninit.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace vlm::common {
@@ -152,38 +151,6 @@ void BitArray::set_bulk(std::span<const std::size_t> indices,
         std::uint64_t{deliveries[i] != 0} << (index % kWordBits);
   }
   if (n > 0) ones_stale_ = true;
-}
-
-ShardedBitArray::ShardedBitArray(std::size_t bit_count, unsigned shard_count) {
-  VLM_REQUIRE(shard_count >= 1, "need at least one shard");
-  shards_.reserve(shard_count);
-  for (unsigned s = 0; s < shard_count; ++s) shards_.emplace_back(bit_count);
-}
-
-BitArray& ShardedBitArray::shard(unsigned s) {
-  VLM_REQUIRE(s < shards_.size(), "shard index out of range");
-  return shards_[s];
-}
-
-const BitArray& ShardedBitArray::shard(unsigned s) const {
-  VLM_REQUIRE(s < shards_.size(), "shard index out of range");
-  return shards_[s];
-}
-
-BitArray ShardedBitArray::merged() const {
-  static obs::Histogram& merge_phase = obs::phase("ingest/shard_merge");
-  static obs::Counter& merge_words =
-      obs::MetricsRegistry::global().counter("ingest/merge_words");
-  const obs::Span span(merge_phase);
-  BitArray out = shards_.front();
-  for (std::size_t s = 1; s < shards_.size(); ++s) out.merge_or(shards_[s]);
-  merge_words.add(static_cast<std::uint64_t>(out.words().size()) *
-                  (shards_.size() - 1));
-  return out;
-}
-
-void ShardedBitArray::reset() {
-  for (BitArray& shard : shards_) shard.reset();
 }
 
 std::vector<std::uint8_t> BitArray::to_bytes() const {

@@ -68,9 +68,10 @@ class BitArray {
   // copy. The zero fraction is invariant under unfolding.
   BitArray unfolded(std::size_t target_size) const;
 
-  // Word-level OR-merge (Eq. 4): the shard-combining primitive of the
-  // parallel ingestion engine. `ones_` is recomputed by popcount during
-  // the single word sweep, never per bit. Both operands must have equal
+  // Word-level OR-merge (Eq. 4) of two whole arrays: the union the
+  // triple estimator takes, and the raw-kernel bench's merge of its
+  // per-worker arrays. `ones_` is recomputed by popcount during the
+  // single word sweep, never per bit. Both operands must have equal
   // size. Returns *this.
   BitArray& merge_or(const BitArray& other);
 
@@ -117,35 +118,6 @@ class BitArray {
   // Zeroed explicitly by the sizing constructor; from_bytes overwrites
   // every word instead of zeroing first.
   UninitVector<std::uint64_t> words_;
-};
-
-// One bit array per worker over the same index space. Each ingest worker
-// sets bits into its own shard with zero synchronization; the period
-// close OR-merges the shards into one array. Because the period array is
-// exactly the OR of every vehicle's single set bit and OR is commutative
-// and associative, the merged array is bit-identical to a serial ingest
-// of the same replies — for ANY shard count and ANY assignment of
-// vehicles to shards.
-class ShardedBitArray {
- public:
-  ShardedBitArray(std::size_t bit_count, unsigned shard_count);
-
-  std::size_t size() const { return shards_.front().size(); }
-  unsigned shard_count() const {
-    return static_cast<unsigned>(shards_.size());
-  }
-
-  BitArray& shard(unsigned s);
-  const BitArray& shard(unsigned s) const;
-
-  // OR of all shards (merge_or pairwise, ones by popcount).
-  BitArray merged() const;
-
-  // Clears every shard for a new period.
-  void reset();
-
- private:
-  std::vector<BitArray> shards_;
 };
 
 // Result of the fused decode kernel below. `zeros_or` is the zero count

@@ -1,12 +1,12 @@
 // Shared parser for the VLM_* environment overrides.
 //
-// VLM_KERNELS, VLM_DECODE, and VLM_INGEST all follow the same contract:
-// an unset or empty variable keeps the caller's choice, a recognized
-// value pins one, and an unrecognized value degrades loudly — a warning
-// on stderr naming the accepted spellings — instead of crashing, so one
-// stale export works across a heterogeneous CI fleet. This helper is the
-// single implementation of that contract; the per-subsystem code only
-// supplies its choice table and interprets the returned value.
+// VLM_KERNELS and VLM_DECODE follow the same contract: an unset or empty
+// variable keeps the caller's choice, a recognized value pins one, and an
+// unrecognized value degrades loudly — a warning on stderr naming the
+// accepted spellings — instead of crashing, so one stale export works
+// across a heterogeneous CI fleet. This helper is the single
+// implementation of that contract; the per-subsystem code only supplies
+// its choice table and interprets the returned value.
 #pragma once
 
 #include <span>

@@ -2,8 +2,8 @@
 //
 // The word-level loops that dominate both the decode pipeline
 // (joint_zero_counts for Eq. 5, per pair and cache-blocked batch) and the
-// sharded ingest engine (batch bit-index hashing, shard OR-merge, bulk
-// set + recount) are hoisted here behind a per-ISA
+// parallel ingest engine (batch bit-index hashing, bulk set + recount),
+// plus the whole-array OR-merge, are hoisted here behind a per-ISA
 // dispatch table: a portable scalar baseline that every build carries,
 // plus AVX2 (nibble-LUT popcount) and AVX-512-VPOPCNTDQ variants that
 // are compiled only when the toolchain supports the flags and selected

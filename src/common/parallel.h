@@ -1,7 +1,7 @@
 // Deterministic parallel-for over an index range, backed by a persistent
 // worker pool.
 //
-// Monte-Carlo sweeps, the sharded ingest engine, and the tiled decode all
+// Monte-Carlo sweeps, the parallel ingest engine, and the tiled decode all
 // fan independent, per-index work across threads; their results must not
 // depend on which thread ran what. These helpers slice [0, count) across
 // a fixed number of logical workers with boundaries that depend only on

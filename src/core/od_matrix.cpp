@@ -63,29 +63,17 @@ DecodeMetrics& decode_metrics() {
 }
 
 const char* mode_name(DecodeMode mode) {
-  switch (mode) {
-    case DecodeMode::kPairwise:
-      return "pairwise";
-    case DecodeMode::kBlocked:
-      return "blocked";
-    case DecodeMode::kPruned:
-      return "pruned";
-    case DecodeMode::kAuto:
-      return "auto";
-  }
-  return "unknown";
+  return mode == DecodeMode::kPruned ? "pruned" : "blocked";
 }
 
-// VLM_DECODE=pairwise|blocked|pruned|auto overrides the caller's mode,
-// exactly like VLM_KERNELS overrides ISA selection: parsed once,
-// warn-and-keep on an unrecognized value so a stale export degrades
-// loudly instead of crashing a fleet.
+// VLM_DECODE=blocked|pruned overrides the caller's mode, exactly like
+// VLM_KERNELS overrides ISA selection: parsed once, warn-and-keep on an
+// unrecognized value so a stale export degrades loudly instead of
+// crashing a fleet.
 DecodeMode apply_env_override(DecodeMode mode) {
   static constexpr common::EnvEnumChoice kChoices[] = {
-      {"pairwise", static_cast<int>(DecodeMode::kPairwise)},
       {"blocked", static_cast<int>(DecodeMode::kBlocked)},
-      {"pruned", static_cast<int>(DecodeMode::kPruned)},
-      {"auto", static_cast<int>(DecodeMode::kAuto)}};
+      {"pruned", static_cast<int>(DecodeMode::kPruned)}};
   static const int parsed = common::parse_env_enum("VLM_DECODE", kChoices, -1);
   return parsed < 0 ? mode : static_cast<DecodeMode>(parsed);
 }
@@ -291,13 +279,7 @@ OdMatrix estimate_od_matrix(std::span<const RsuState> states, std::uint32_t s,
   const unsigned used =
       options.workers == 0 ? common::default_worker_count() : options.workers;
 
-  DecodeMode mode = apply_env_override(options.mode);
-  if (mode == DecodeMode::kAuto) {
-    // One pair has nothing to block over; three or more arrays is where
-    // tile reuse starts paying. Pruning stays opt-in — it changes
-    // skipped pairs' cells, so kAuto never routes there.
-    mode = k >= 3 ? DecodeMode::kBlocked : DecodeMode::kPairwise;
-  }
+  const DecodeMode mode = apply_env_override(options.mode);
 
   // Pruned path, stage 1: per-pair skip decisions over a strided sample
   // of each pair's OR zero fraction. Decisions are computed
@@ -305,7 +287,7 @@ OdMatrix estimate_od_matrix(std::span<const RsuState> states, std::uint32_t s,
   // survivor list — and therefore the whole decode — is identical for
   // every worker count. Compaction preserves (a, b) order, which keeps
   // the batch sweep's anchor groups contiguous. Only this path lists
-  // the pairs; the other two walk the triangle index.
+  // the pairs; the blocked path walks the triangle index.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
   double prune_seconds = 0.0;
   std::size_t prune_words = 0;
@@ -339,9 +321,7 @@ OdMatrix estimate_od_matrix(std::span<const RsuState> states, std::uint32_t s,
 
   OdMatrix matrix = mode == DecodeMode::kPruned
                         ? OdMatrix::for_survivors(k, pairs)
-                    : mode == DecodeMode::kBlocked
-                        ? OdMatrix(k, OdMatrix::Unfilled{})
-                        : OdMatrix(k);
+                        : OdMatrix(k, OdMatrix::Unfilled{});
   const std::size_t pairs_decoded =
       mode == DecodeMode::kPruned ? pairs.size() : matrix.cells_.size();
 
@@ -358,11 +338,64 @@ OdMatrix estimate_od_matrix(std::span<const RsuState> states, std::uint32_t s,
     }
   };
   std::vector<SliceTally> tallies(used);
-  // Runs estimate_pair(a, b, point) -> cell over every pair a < b of the
-  // dense triangle, slicing the row-major triangle index: each slice
-  // turns its first index into (a, b) once, then walks forward writing
-  // its cells in storage order.
-  auto estimate_triangle = [&](const auto& estimate_pair) {
+  common::BatchDecodeStats batch_stats;
+  double sweep_seconds = 0.0;
+  // Measure the zero counts with the cache-blocked batch sweep, then map
+  // them through the Eq. 5 / interval math of the per-pair estimator.
+  // Both stages are deterministic, so so is the composition — and
+  // because the batch sweep's integer partials are exact for any pair
+  // subset, a survivor's counts (and therefore its estimate) are
+  // bit-identical to the unpruned blocked decode.
+  std::vector<const common::BitArray*> arrays;
+  arrays.reserve(k);
+  for (const RsuState& state : states) arrays.push_back(&state.bits());
+  common::BatchDecodeOptions batch_options;
+  batch_options.tile_words = options.tile_words;
+  batch_options.workers = used;
+  common::BatchZeroCounts counts;
+  {
+    obs::Span sweep_span(metrics.tile_sweep);
+    counts = mode == DecodeMode::kBlocked
+                 ? common::joint_zero_counts_batch(arrays, batch_options,
+                                                   &batch_stats)
+                 : common::joint_zero_counts_batch(arrays, pairs,
+                                                   batch_options, &batch_stats);
+    sweep_seconds = sweep_span.finish();
+  }
+  obs::Span estimate_span(metrics.estimate);
+  // The size-only model terms, once per distinct (smaller, larger)
+  // array-size pair — at most ~log²(m) of them — instead of once per
+  // pair. sizes[rank[i]] is state i's array size.
+  std::vector<std::size_t> sizes;
+  sizes.reserve(k);
+  for (const RsuState& state : states) sizes.push_back(state.array_size());
+  std::sort(sizes.begin(), sizes.end());
+  sizes.erase(std::unique(sizes.begin(), sizes.end()), sizes.end());
+  std::vector<std::size_t> rank(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    rank[i] = static_cast<std::size_t>(
+        std::lower_bound(sizes.begin(), sizes.end(), states[i].array_size()) -
+        sizes.begin());
+  }
+  std::vector<SizeFactors> factors;
+  factors.reserve(sizes.size() * sizes.size());
+  for (const std::size_t m_small : sizes) {
+    for (const std::size_t m_large : sizes) {
+      factors.emplace_back(s, m_small, m_large);
+    }
+  }
+  const auto estimate_counts = [&](std::size_t a, std::size_t b,
+                                   const common::JointZeroCounts& pair,
+                                   PairEstimate& point) {
+    const std::size_t lo = std::min(rank[a], rank[b]);
+    const std::size_t hi = std::max(rank[a], rank[b]);
+    return estimator.from_counts(pair, states[a], states[b],
+                                 factors[lo * sizes.size() + hi], &point);
+  };
+  if (mode == DecodeMode::kBlocked) {
+    // Slices of the row-major triangle index: each slice turns its first
+    // index into (a, b) once, then walks forward writing its cells in
+    // storage order.
     common::parallel_slices(
         pairs_decoded, used,
         [&](unsigned slice, std::size_t begin, std::size_t end) {
@@ -370,97 +403,28 @@ OdMatrix estimate_od_matrix(std::span<const RsuState> states, std::uint32_t s,
           auto [a, b] = triangle_pair(k, begin);
           for (std::size_t t = begin; t < end; ++t) {
             PairEstimate point;
-            matrix.cells_[t] = estimate_pair(a, b, point);
+            matrix.cells_[t] = estimate_counts(a, b, counts.at(a, b), point);
             tally.add(point);
             if (++b == k) b = ++a + 1;
           }
           tallies[slice] = tally;
         });
-  };
-  common::BatchDecodeStats batch_stats;
-  double sweep_seconds = 0.0;
-  double estimate_seconds = 0.0;
-  if (mode == DecodeMode::kBlocked || mode == DecodeMode::kPruned) {
-    // Measure the zero counts with the cache-blocked batch sweep, then
-    // map them through the identical Eq. 5 / interval math the pairwise
-    // path uses. Both stages are deterministic, so so is the composition
-    // — and because the batch sweep's integer partials are exact for any
-    // pair subset, a survivor's counts (and therefore its estimate) are
-    // bit-identical to the unpruned blocked decode.
-    std::vector<const common::BitArray*> arrays;
-    arrays.reserve(k);
-    for (const RsuState& state : states) arrays.push_back(&state.bits());
-    common::BatchDecodeOptions batch_options;
-    batch_options.tile_words = options.tile_words;
-    batch_options.workers = used;
-    common::BatchZeroCounts counts;
-    {
-      obs::Span sweep_span(metrics.tile_sweep);
-      counts = mode == DecodeMode::kBlocked
-                   ? common::joint_zero_counts_batch(arrays, batch_options,
-                                                     &batch_stats)
-                   : common::joint_zero_counts_batch(arrays, pairs,
-                                                     batch_options,
-                                                     &batch_stats);
-      sweep_seconds = sweep_span.finish();
-    }
-    obs::Span estimate_span(metrics.estimate);
-    // The size-only model terms, once per distinct (smaller, larger)
-    // array-size pair — at most ~log²(m) of them — instead of once per
-    // pair. sizes[rank[i]] is state i's array size.
-    std::vector<std::size_t> sizes;
-    sizes.reserve(k);
-    for (const RsuState& state : states) sizes.push_back(state.array_size());
-    std::sort(sizes.begin(), sizes.end());
-    sizes.erase(std::unique(sizes.begin(), sizes.end()), sizes.end());
-    std::vector<std::size_t> rank(k);
-    for (std::size_t i = 0; i < k; ++i) {
-      rank[i] = static_cast<std::size_t>(
-          std::lower_bound(sizes.begin(), sizes.end(), states[i].array_size()) -
-          sizes.begin());
-    }
-    std::vector<SizeFactors> factors;
-    factors.reserve(sizes.size() * sizes.size());
-    for (const std::size_t m_small : sizes) {
-      for (const std::size_t m_large : sizes) {
-        factors.emplace_back(s, m_small, m_large);
-      }
-    }
-    const auto estimate_counts = [&](std::size_t a, std::size_t b,
-                                     const common::JointZeroCounts& pair,
-                                     PairEstimate& point) {
-      const std::size_t lo = std::min(rank[a], rank[b]);
-      const std::size_t hi = std::max(rank[a], rank[b]);
-      return estimator.from_counts(pair, states[a], states[b],
-                                   factors[lo * sizes.size() + hi], &point);
-    };
-    if (mode == DecodeMode::kBlocked) {
-      estimate_triangle([&](std::size_t a, std::size_t b, PairEstimate& point) {
-        return estimate_counts(a, b, counts.at(a, b), point);
-      });
-    } else {
-      common::parallel_slices(
-          pairs.size(), used,
-          [&](unsigned slice, std::size_t begin, std::size_t end) {
-            SliceTally tally;
-            for (std::size_t p = begin; p < end; ++p) {
-              const auto [a, b] = pairs[p];
-              PairEstimate point;
-              matrix.cell(a, b) =
-                  estimate_counts(a, b, counts.counts(a, b, p), point);
-              tally.add(point);
-            }
-            tallies[slice] = tally;
-          });
-    }
-    estimate_seconds = estimate_span.finish();
   } else {
-    obs::Span estimate_span(metrics.estimate);
-    estimate_triangle([&](std::size_t a, std::size_t b, PairEstimate& point) {
-      return estimator.estimate(states[a], states[b], &point);
-    });
-    estimate_seconds = estimate_span.finish();
+    common::parallel_slices(
+        pairs.size(), used,
+        [&](unsigned slice, std::size_t begin, std::size_t end) {
+          SliceTally tally;
+          for (std::size_t p = begin; p < end; ++p) {
+            const auto [a, b] = pairs[p];
+            PairEstimate point;
+            matrix.cell(a, b) =
+                estimate_counts(a, b, counts.counts(a, b, p), point);
+            tally.add(point);
+          }
+          tallies[slice] = tally;
+        });
   }
+  const double estimate_seconds = estimate_span.finish();
 
   // Registry and struct are fed from the same values: DecodeStats is the
   // per-run view of what this call just added to the global counters.

@@ -1,21 +1,20 @@
 // Full origin-destination matrix estimation over a deployment of K RSUs.
 //
 // The paper estimates one pair at a time; a transportation study wants
-// the whole K×K point-to-point matrix. Three decode paths produce it:
+// the whole K×K point-to-point matrix. Two decode paths produce it:
 //
-//   - pairwise: the fused zero-count kernel per pair — O(K² m_max / 64)
-//     words of DRAM traffic, every array re-read K−1 times.
-//   - blocked (default for K >= 3): the GEMM-style cache-blocked batch
-//     decode — the word range is tiled, and each cache-hot tile is
-//     combined with every partner before moving on, cutting DRAM traffic
-//     to O(K m_max / 64) per tile sweep. The arithmetic is the same
-//     exact integer popcounts, and the Eq. 5 / interval math reads the
-//     same size-only terms (one SizeFactors per distinct size pair), so
-//     the result is bit-identical to the pairwise path for every worker
-//     count and tile size (tests and a differential fuzz suite assert
-//     this). The estimate is a second parallel pass over slices of the
-//     row-major triangle; it writes every cell exactly once, so the
-//     cells are not zero-filled first.
+//   - blocked (the default): the GEMM-style cache-blocked batch decode —
+//     the word range is tiled, and each cache-hot tile is combined with
+//     every partner before moving on, cutting DRAM traffic from the
+//     per-pair kernel's O(K² m_max / 64) words to O(K m_max / 64) per
+//     tile sweep. The arithmetic is the same exact integer popcounts,
+//     and the Eq. 5 / interval math reads the same size-only terms (one
+//     SizeFactors per distinct size pair), so every cell is
+//     bit-identical to the per-pair IntervalEstimator::estimate for
+//     every worker count and tile size (tests and a differential fuzz
+//     suite assert this). The estimate is a second parallel pass over
+//     slices of the row-major triangle; it writes every cell exactly
+//     once, so the cells are not zero-filled first.
 //   - pruned (opt-in): a cheap strided-sample union estimate per pair
 //     first; pairs whose upper-bounded overlap stays at or below
 //     PruneOptions::min_volume are skipped, and the exact blocked sweep
@@ -44,14 +43,12 @@
 namespace vlm::core {
 
 // How estimate_od_matrix walks the pair set. The VLM_DECODE environment
-// variable (pairwise|blocked|pruned|auto), when set, overrides whatever
-// the caller passes — mirroring VLM_KERNELS, so CI can pin one path
-// process-wide without threading options through every layer.
+// variable (blocked|pruned), when set, overrides whatever the caller
+// passes — mirroring VLM_KERNELS, so CI can pin one path process-wide
+// without threading options through every layer.
 enum class DecodeMode {
-  kPairwise,  // per-pair fused kernel (the pre-blocking behavior)
-  kBlocked,   // cache-blocked batch decode
-  kPruned,    // sampled-union prune, then the blocked sweep on survivors
-  kAuto,      // blocked when K >= 3, pairwise for a single pair
+  kBlocked,  // cache-blocked batch decode
+  kPruned,   // sampled-union prune, then the blocked sweep on survivors
 };
 
 // Knobs for the prune stage of DecodeMode::kPruned. The defaults are
@@ -84,20 +81,19 @@ struct DecodeStats {
   // telemetry counts these as `decode/pairs_saturated`.
   std::size_t pairs_saturated = 0;
   // The per-pair kernel's 64-bit words summed over the decoded pairs
-  // (JointZeroCounts::words_scanned), whichever path ran: per-pair-
-  // equivalent work, not the blocked sweep's DRAM traffic.
+  // (JointZeroCounts::words_scanned): per-pair-equivalent work, not the
+  // blocked sweep's DRAM traffic.
   std::size_t words_scanned = 0;
   unsigned workers = 1;           // threads the work was spread over
   double wall_seconds = 0.0;
   // ISA the kernel dispatch selected for the sweeps ("scalar", "avx2",
   // "avx512") — a static string, never freed.
   const char* kernel_isa = "scalar";
-  // Decode path actually taken ("pairwise", "blocked", or "pruned")
-  // after resolving kAuto and the VLM_DECODE override — a static string,
-  // never freed.
-  const char* path = "pairwise";
-  // Blocked path only (0 on pairwise): anchor-tile size in 64-bit words
-  // and the full-array DRAM loads the tiling avoided versus per-pair.
+  // Decode path actually taken ("blocked" or "pruned") after the
+  // VLM_DECODE override — a static string, never freed.
+  const char* path = "blocked";
+  // Anchor-tile size in 64-bit words and the full-array DRAM loads the
+  // tiling avoided versus per-pair.
   std::size_t tile_words = 0;
   std::size_t dram_passes_saved = 0;
   // Pruned path only (0 elsewhere): pairs the sampled-union stage
@@ -138,9 +134,9 @@ struct DecodeStats {
 // decode; every combination yields bit-identical estimates.
 struct DecodeOptions {
   unsigned workers = 1;  // 1 = serial, 0 = one per hardware core
-  DecodeMode mode = DecodeMode::kAuto;
+  DecodeMode mode = DecodeMode::kBlocked;
   std::size_t tile_words = 0;  // blocked path tile size; 0 = auto (L2 budget)
-  PruneOptions prune;          // kPruned only; ignored on the other paths
+  PruneOptions prune;          // kPruned only; ignored on the blocked path
 };
 
 class OdMatrix {

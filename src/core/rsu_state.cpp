@@ -51,13 +51,6 @@ void RsuState::record_bulk(std::span<const std::size_t> indices,
   for (const std::uint8_t d : deliveries) counter_ += d;
 }
 
-void RsuState::merge(const RsuState& other) {
-  VLM_REQUIRE(array_size() == other.array_size(),
-              "can only merge states with equal array sizes");
-  counter_ += other.counter_;
-  bits_ |= other.bits_;
-}
-
 void RsuState::reset() {
   counter_ = 0;
   bits_.reset();

@@ -39,13 +39,6 @@ class RsuState {
   void record_bulk(std::span<const std::size_t> indices,
                    std::span<const std::uint8_t> deliveries);
 
-  // Merges a sub-period collected elsewhere for the SAME RSU (sharded or
-  // failover collection): counters add, bit arrays OR. Both states must
-  // have the same array size. Merging states of two DIFFERENT RSUs would
-  // silently double-count shared vehicles — that is what the pair
-  // estimator is for.
-  void merge(const RsuState& other);
-
   // Start of a new measurement period.
   void reset();
 

@@ -28,20 +28,18 @@ std::string format_line(const char* format, Args... args) {
 }
 }  // namespace detail
 
-// "ingest: ..." + "ingest pool: ..." lines for one drive_vehicles call,
-// plus a per-stage breakdown line on the batch path.
+// "ingest: ..." + per-stage + "ingest pool: ..." lines for one
+// drive_vehicles call.
 inline std::string format_ingest_stats(const vcps::IngestStats& stats) {
   std::string out = detail::format_line(
-      "ingest: %u workers, %s kernels, %s path, %.1f ms, %.0f vehicles/s\n",
-      stats.workers, stats.kernel_isa, stats.path, stats.seconds * 1e3,
+      "ingest: %u workers, %s kernels, %.1f ms, %.0f vehicles/s\n",
+      stats.workers, stats.kernel_isa, stats.seconds * 1e3,
       stats.vehicles_per_second());
-  if (std::string_view(stats.path) == "batch") {
-    out += detail::format_line(
-        "ingest stages (cpu ms across workers): materialize %.1f, hash "
-        "%.1f, channel %.1f, scatter %.1f\n",
-        stats.materialize_seconds * 1e3, stats.hash_seconds * 1e3,
-        stats.channel_seconds * 1e3, stats.scatter_seconds * 1e3);
-  }
+  out += detail::format_line(
+      "ingest stages (cpu ms across workers): materialize %.1f, hash "
+      "%.1f, channel %.1f, scatter %.1f\n",
+      stats.materialize_seconds * 1e3, stats.hash_seconds * 1e3,
+      stats.channel_seconds * 1e3, stats.scatter_seconds * 1e3);
   out += detail::format_line(
       "ingest pool: %llu dispatch(es) this run, %llu lifetime (threads "
       "reused, not respawned)\n",

@@ -38,7 +38,7 @@ class MultiRsuWorkload {
   // ascending. A pure function of (config, vehicle_index) — the draws
   // come from a counter-based splitmix64 stream seeded per vehicle at
   // mix64(seed ^ v) instead of one sequential generator — so any worker
-  // can generate any vehicle independently and a sharded ingest over ANY
+  // can generate any vehicle independently and a parallel ingest over ANY
   // worker count sees vehicle-for-vehicle identical itineraries. `visited` is per-caller
   // dedup scratch sized rsu_count (keep one per worker thread and reuse
   // it across vehicles); `out` is cleared and refilled.

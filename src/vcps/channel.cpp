@@ -14,34 +14,13 @@ constexpr std::uint64_t kDuplicateDomain = 0x2545F4914F6CDD1Dull;
 }  // namespace
 
 DsrcChannel::DsrcChannel(const ChannelConfig& config, std::uint64_t seed)
-    : config_(config), seed_(seed), rng_(seed) {
+    : config_(config), seed_(seed) {
   VLM_REQUIRE(config.query_loss >= 0.0 && config.query_loss < 1.0,
               "query loss must be in [0, 1)");
   VLM_REQUIRE(config.reply_loss >= 0.0 && config.reply_loss < 1.0,
               "reply loss must be in [0, 1)");
   VLM_REQUIRE(config.reply_duplicate >= 0.0 && config.reply_duplicate < 1.0,
               "reply duplication must be in [0, 1)");
-}
-
-bool DsrcChannel::query_delivered() {
-  if (config_.query_loss > 0.0 && rng_.bernoulli(config_.query_loss)) {
-    ++queries_lost_;
-    return false;
-  }
-  return true;
-}
-
-int DsrcChannel::deliveries_for_reply() {
-  if (config_.reply_loss > 0.0 && rng_.bernoulli(config_.reply_loss)) {
-    ++replies_lost_;
-    return 0;
-  }
-  if (config_.reply_duplicate > 0.0 &&
-      rng_.bernoulli(config_.reply_duplicate)) {
-    ++replies_duplicated_;
-    return 2;
-  }
-  return 1;
 }
 
 double DsrcChannel::unit_draw(std::uint64_t period,

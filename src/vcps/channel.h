@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <span>
 
-#include "common/rng.h"
 #include "core/types.h"
 
 namespace vlm::vcps {
@@ -22,8 +21,8 @@ struct ChannelConfig {
   double reply_duplicate = 0.0; // probability a delivered reply arrives twice
 };
 
-// Worker-local failure tallies for the sharded ingest path: each worker
-// counts the outcomes it sampled, and the shards are summed into the
+// Failure tallies of one ingest call or one driven vehicle: each worker
+// counts the outcomes it sampled, and the tallies are summed into the
 // channel's counters after the join (addition commutes, so the totals
 // are independent of the vehicle-to-worker assignment).
 struct ChannelTally {
@@ -36,17 +35,12 @@ class DsrcChannel {
  public:
   DsrcChannel(const ChannelConfig& config, std::uint64_t seed);
 
-  // Per-message outcomes drawn from the channel's sequential stream (the
-  // serial drive_vehicle path). `deliveries_for_reply` returns 0 (lost),
-  // 1 (normal), or 2 (duplicated).
-  bool query_delivered();
-  int deliveries_for_reply();
-
-  // Order-independent outcomes for the sharded ingest path: the draw is a
-  // pure hash of (channel seed, period, vehicle number, RSU id), so every
-  // worker count — and every execution order — samples the identical
-  // outcome for a given exchange. Counts into the caller's tally instead
-  // of the shared counters; absorb() merges tallies after the join.
+  // Per-exchange outcomes: the draw is a pure hash of (channel seed,
+  // period, vehicle number, RSU id), so every worker count — and every
+  // execution order — samples the identical outcome for a given
+  // exchange. `deliveries_for_reply_for` returns 0 (lost), 1 (normal), or
+  // 2 (duplicated). Counts into the caller's tally instead of the shared
+  // counters; absorb() merges tallies after the join.
   bool query_delivered_for(std::uint64_t period, std::uint64_t vehicle_number,
                            core::RsuId rsu, ChannelTally& tally) const;
   int deliveries_for_reply_for(std::uint64_t period,
@@ -91,7 +85,6 @@ class DsrcChannel {
 
   ChannelConfig config_;
   std::uint64_t seed_;
-  common::Xoshiro256ss rng_;
   std::uint64_t queries_lost_ = 0;
   std::uint64_t replies_lost_ = 0;
   std::uint64_t replies_duplicated_ = 0;

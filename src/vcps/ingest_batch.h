@@ -1,4 +1,4 @@
-// Columnar (SoA) batch ingest engine behind IngestMode::kBatch.
+// Columnar (SoA) batch ingest engine behind VcpsSimulation::drive_vehicles.
 //
 // The per-vehicle object loop spends its time on dispatch, not bit work:
 // one Vehicle construction, one certificate check, one scalar hash pair,
@@ -27,7 +27,7 @@
 //                   shards exist
 //
 // Hash-domain invariant: stages 2 and 3 evaluate exactly the hashes the
-// serial path evaluates — the encoder's (masked_key, RSU, salt) domains
+// serial drive_vehicle loop evaluates — the encoder's (masked_key, RSU, salt) domains
 // and the channel's (seed, period, vehicle number, RSU) domains — and
 // bits OR while counters add, so the resulting bits, counters, and
 // channel tallies are bit-identical to the per-vehicle loop for every

@@ -1,7 +1,5 @@
 #include "vcps/rsu.h"
 
-#include "obs/metrics.h"
-
 namespace vlm::vcps {
 
 Rsu::Rsu(core::RsuId id, Certificate certificate, std::size_t array_size)
@@ -18,18 +16,6 @@ bool Rsu::handle_reply(const Reply& reply) {
   }
   state_.record(reply.bit_index);
   return true;
-}
-
-void Rsu::absorb_shard(const core::RsuState& shard,
-                       std::uint64_t invalid_replies) {
-  static obs::Counter& shards_absorbed =
-      obs::MetricsRegistry::global().counter("ingest/shards_absorbed");
-  static obs::Counter& invalid_counter =
-      obs::MetricsRegistry::global().counter("ingest/invalid_replies");
-  state_.merge(shard);
-  invalid_replies_ += invalid_replies;
-  shards_absorbed.inc();
-  if (invalid_replies > 0) invalid_counter.add(invalid_replies);
 }
 
 RsuReport Rsu::make_report(std::uint64_t period) const {

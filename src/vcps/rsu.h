@@ -29,14 +29,7 @@ class Rsu {
   // Returns false (and counts) if the reply is malformed.
   bool handle_reply(const Reply& reply);
 
-  // Merges a worker shard collected for THIS RSU during the current
-  // period (counters add, bit arrays OR — order-independent), plus the
-  // malformed-reply count the worker tallied. The shard's array size
-  // must match the RSU's current size. The scalar ingest engine's merge.
-  void absorb_shard(const core::RsuState& shard,
-                    std::uint64_t invalid_replies);
-
-  // The batch ingest engine's owner pass: records replies whose bit
+  // The ingest engine's owner pass: records replies whose bit
   // indices were hashed against this RSU's current array size, each
   // delivered once, or deliveries[i] times (RsuState::record_bulk). The
   // ones count is deferred until the next read of it.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <span>
 
-#include "common/env_override.h"
 #include "common/hashing.h"
 #include "common/kernels/kernels.h"
 #include "common/math_util.h"
@@ -25,10 +24,10 @@ constexpr std::uint64_t kCertLifetimePeriods = 1'000'000;
 // Ingest-side metrics. IngestStats is the per-call view over these atoms
 // (same increments, same sites — a test pins the equivalence). All
 // handles register together on the first period, so the exported key set
-// is identical for every worker count and engine: the per-worker encode
-// time lands in ONE histogram whose count is the number of workers, never
-// in per-worker keys. The four stage histograms record only on the batch
-// path (one sample per worker, or per owner for scatter, per call).
+// is identical for every worker count: the per-worker encode time lands
+// in ONE histogram whose count is the number of workers, never in
+// per-worker keys. The four stage histograms record one sample per
+// worker, or per owner for scatter, per drive_vehicles call.
 struct IngestMetrics {
   obs::Counter& vehicles;
   obs::Counter& exchanges;
@@ -36,34 +35,27 @@ struct IngestMetrics {
   obs::Counter& replies_lost;
   obs::Counter& replies_duplicated;
   obs::Info& kernel_isa;
-  obs::Info& ingest_path;
   obs::Histogram& period_begin;   // begin_period(): sizing + RSU resets
   obs::Histogram& period_ingest;  // one whole drive_vehicles() call
   obs::Histogram& period_close;   // end_period(): reports into the server
   obs::Histogram& encode_worker;  // per-worker encode time of one call
-  // One per call: the scalar engine's shard merge, or the wall time of
-  // the batch engine's owner passes (all rounds).
+  // One per call: the wall time of the owner passes (all rounds).
   obs::Histogram& shard_merge;
-  obs::Histogram& stage_materialize;  // batch stage 1 per worker
-  obs::Histogram& stage_hash;         // batch stage 2 per worker
-  obs::Histogram& stage_channel;      // batch stage 3 per worker
-  obs::Histogram& stage_scatter;      // batch stage 4 per owner
+  obs::Histogram& stage_materialize;  // stage 1 per worker
+  obs::Histogram& stage_hash;         // stage 2 per worker
+  obs::Histogram& stage_channel;      // stage 3 per worker
+  obs::Histogram& stage_scatter;      // stage 4 per owner
 };
 
 IngestMetrics& ingest_metrics() {
   static IngestMetrics* metrics = [] {
     obs::MetricsRegistry& r = obs::MetricsRegistry::global();
-    // Counted by Rsu::absorb_shard, which only the scalar engine calls;
-    // registered here so both engines export the same key set.
-    r.counter("ingest/shards_absorbed");
-    r.counter("ingest/invalid_replies");
     return new IngestMetrics{r.counter("ingest/vehicles"),
                              r.counter("ingest/exchanges"),
                              r.counter("channel/queries_lost"),
                              r.counter("channel/replies_lost"),
                              r.counter("channel/replies_duplicated"),
                              r.info("kernel/isa"),
-                             r.info("ingest/path"),
                              obs::phase("period/begin"),
                              obs::phase("period/ingest"),
                              obs::phase("period/close"),
@@ -81,25 +73,7 @@ std::uint64_t nanos(double seconds) {
   return static_cast<std::uint64_t>(seconds * 1e9);
 }
 
-// VLM_INGEST=scalar|batch|auto steers how IngestMode::kAuto resolves
-// (parsed once, warn-and-keep on an unrecognized value, like
-// VLM_DECODE). Unlike VLM_DECODE it does NOT override an explicitly
-// requested engine: the bit-identity suites pin kScalar and kBatch
-// side by side and assert per-engine stats, so a process-wide forced
-// engine would make them compare an engine against itself. CI jobs that
-// pin VLM_INGEST therefore steer every default-mode caller (tools,
-// servers) while the explicit A/B gates keep testing both engines.
-IngestMode apply_env_override(IngestMode mode) {
-  static constexpr common::EnvEnumChoice kChoices[] = {
-      {"scalar", static_cast<int>(IngestMode::kScalar)},
-      {"batch", static_cast<int>(IngestMode::kBatch)},
-      {"auto", static_cast<int>(IngestMode::kAuto)}};
-  static const int parsed = common::parse_env_enum("VLM_INGEST", kChoices, -1);
-  if (mode != IngestMode::kAuto || parsed < 0) return mode;
-  return static_cast<IngestMode>(parsed);
-}
-
-// Vehicles per worker per batch-engine round. Sized so one sub-slice's
+// Vehicles per worker per ingest round. Sized so one sub-slice's
 // exchange tuples (~3 visits x 16-25 bytes per vehicle) plus the
 // itinerary CSR stay comfortably inside a per-core L2, so the hash and
 // channel stages read tuples materialize just wrote, and the owners'
@@ -123,8 +97,8 @@ void cut_runs(std::span<const std::uint64_t> prefix, unsigned runs,
   }
 }
 
-// Adapts the per-vehicle itinerary form to the bulk CSR form both ingest
-// engines consume. Pays the per-vehicle function call the bulk form
+// Adapts the per-vehicle itinerary form to the bulk CSR form the ingest
+// engine consumes. Pays the per-vehicle function call the bulk form
 // avoids — callers that can produce CSR natively should pass it directly.
 BulkItineraryProvider adapt_itinerary(const ItineraryProvider& itinerary,
                                       std::size_t rsu_count) {
@@ -185,41 +159,54 @@ void VcpsSimulation::begin_period() {
 
 std::size_t VcpsSimulation::drive_vehicle(
     std::span<const std::size_t> rsu_positions) {
-  const std::uint64_t n = ++vehicles_driven_;
-  return drive_vehicle_as(core::synthetic_vehicle(seed_, n), rsu_positions);
+  const std::uint64_t n = vehicles_driven_ + 1;
+  return drive_numbered(n, core::synthetic_vehicle(seed_, n), rsu_positions);
 }
 
 std::size_t VcpsSimulation::drive_vehicle_as(
     const core::VehicleIdentity& identity,
     std::span<const std::size_t> rsu_positions) {
+  return drive_numbered(vehicles_driven_ + 1, identity, rsu_positions);
+}
+
+std::size_t VcpsSimulation::drive_numbered(
+    std::uint64_t vehicle_number, const core::VehicleIdentity& identity,
+    std::span<const std::size_t> rsu_positions) {
   VLM_REQUIRE(period_open_, "begin_period() before driving vehicles");
+  vehicles_driven_ = vehicle_number;
   Vehicle vehicle(identity, encoder(), ca_,
                   common::mix64(identity.masked_key() ^ period_));
+  ChannelTally tally;
   std::size_t exchanges = 0;
   for (std::size_t position : rsu_positions) {
     VLM_REQUIRE(position < rsus_.size(), "RSU position out of range");
     Rsu& rsu = rsus_[position];
-    if (!channel_.query_delivered()) continue;
+    if (!channel_.query_delivered_for(period_, vehicle_number, rsu.id(),
+                                      tally)) {
+      continue;
+    }
     const auto reply = vehicle.handle_query(rsu.make_query(period_));
     if (!reply.has_value()) continue;
-    const int deliveries = channel_.deliveries_for_reply();
+    const int deliveries = channel_.deliveries_for_reply_for(
+        period_, vehicle_number, rsu.id(), tally);
     for (int d = 0; d < deliveries; ++d) {
       if (rsu.handle_reply(*reply)) ++exchanges;
     }
   }
+  channel_.absorb(tally);
   return exchanges;
 }
 
 IngestStats VcpsSimulation::drive_vehicles(std::uint64_t count,
                                            const ItineraryProvider& itinerary,
-                                           unsigned workers, IngestMode mode) {
+                                           unsigned workers) {
   return drive_vehicles(count, adapt_itinerary(itinerary, rsus_.size()),
-                        workers, mode);
+                        workers);
 }
 
 IngestStats VcpsSimulation::drive_vehicles(
     std::uint64_t count, const BulkItineraryProvider& itineraries,
-    unsigned workers, IngestMode mode) {
+    unsigned workers) {
   VLM_REQUIRE(period_open_, "begin_period() before driving vehicles");
   IngestMetrics& metrics = ingest_metrics();
   obs::Span ingest_span(metrics.period_ingest);
@@ -227,19 +214,14 @@ IngestStats VcpsSimulation::drive_vehicles(
       common::WorkerPool::instance().dispatch_count();
   const unsigned requested =
       workers == 0 ? common::default_worker_count() : workers;
-  IngestMode resolved = apply_env_override(mode);
-  if (resolved == IngestMode::kAuto) resolved = IngestMode::kBatch;
-  const bool batch = resolved == IngestMode::kBatch;
 
   IngestStats stats;
-  stats.path = batch ? "batch" : "scalar";
   stats.workers = static_cast<unsigned>(
       std::min<std::uint64_t>(requested, count == 0 ? 1 : count));
   // One channel tally per worker; the draws are hashed per exchange, so
   // only their sums matter.
   std::vector<ChannelTally> tallies(stats.workers);
-  stats.exchanges = batch ? ingest_rounds(count, itineraries, tallies, stats)
-                          : ingest_scalar(count, itineraries, tallies);
+  stats.exchanges = ingest_rounds(count, itineraries, tallies, stats);
 
   ChannelTally lost;
   for (const ChannelTally& tally : tallies) {
@@ -263,98 +245,8 @@ IngestStats VcpsSimulation::drive_vehicles(
   metrics.replies_lost.add(lost.replies_lost);
   metrics.replies_duplicated.add(lost.replies_duplicated);
   metrics.kernel_isa.set(stats.kernel_isa);
-  metrics.ingest_path.set(stats.path);
   stats.seconds = ingest_span.finish();
   return stats;
-}
-
-std::uint64_t VcpsSimulation::ingest_scalar(
-    std::uint64_t count, const BulkItineraryProvider& itineraries,
-    std::span<ChannelTally> tallies) {
-  IngestMetrics& metrics = ingest_metrics();
-  const auto workers = static_cast<unsigned>(tallies.size());
-  const std::uint64_t base = vehicles_driven_;
-  const std::size_t rsu_count = rsus_.size();
-
-  // Worker-local state: one RsuState shard per (worker, RSU) — bits plus
-  // counter — a malformed-reply count per RSU, and an exchange count.
-  // Nothing shared is written until the join.
-  std::vector<std::vector<core::RsuState>> shards;
-  std::vector<std::vector<std::uint64_t>> invalid(
-      workers, std::vector<std::uint64_t>(rsu_count, 0));
-  std::vector<std::uint64_t> exchanges(workers, 0);
-  shards.reserve(workers);
-  for (unsigned w = 0; w < workers; ++w) {
-    std::vector<core::RsuState> shard;
-    shard.reserve(rsu_count);
-    for (const Rsu& rsu : rsus_) {
-      shard.emplace_back(rsu.state().array_size());
-    }
-    shards.push_back(std::move(shard));
-  }
-
-  // The per-vehicle object loop, one exchange at a time. The batch
-  // engine must land bit-identical RSU states.
-  common::parallel_slices(
-      static_cast<std::size_t>(count), workers,
-      [&](unsigned worker, std::size_t begin, std::size_t end) {
-        const obs::Span encode_span(metrics.encode_worker);
-        std::vector<core::RsuState>& shard = shards[worker];
-        ChannelTally& tally = tallies[worker];
-        common::UninitVector<std::uint32_t> positions;
-        std::vector<std::uint64_t> offsets;
-        std::vector<std::uint64_t> counts;  // unused by this engine
-        itineraries(begin, end, positions, offsets, counts);
-        VLM_REQUIRE(offsets.size() == end - begin + 1,
-                    "bulk itinerary provider produced a malformed CSR");
-        for (std::size_t v = begin; v < end; ++v) {
-          // Same numbering as the serial drive_vehicle counter, so the
-          // vehicle identities — and therefore the bits — are the same
-          // population regardless of how the ingest is driven.
-          const std::uint64_t vehicle_number = base + v + 1;
-          const core::VehicleIdentity identity =
-              core::synthetic_vehicle(seed_, vehicle_number);
-          Vehicle vehicle(identity, encoder(), ca_,
-                          common::mix64(identity.masked_key() ^ period_));
-          for (std::uint64_t o = offsets[v - begin];
-               o < offsets[v - begin + 1]; ++o) {
-            const std::uint32_t position = positions[o];
-            VLM_REQUIRE(position < shard.size(), "RSU position out of range");
-            const Rsu& rsu = rsus_[position];
-            if (!channel_.query_delivered_for(period_, vehicle_number,
-                                              rsu.id(), tally)) {
-              continue;
-            }
-            const auto reply = vehicle.handle_query(rsu.make_query(period_));
-            if (!reply.has_value()) continue;
-            const int deliveries = channel_.deliveries_for_reply_for(
-                period_, vehicle_number, rsu.id(), tally);
-            for (int d = 0; d < deliveries; ++d) {
-              if (reply->bit_index >= shard[position].array_size()) {
-                ++invalid[worker][position];
-              } else {
-                shard[position].record(reply->bit_index);
-                ++exchanges[worker];
-              }
-            }
-          }
-        }
-      });
-
-  // OR-merge every worker's shards into the real RSUs. All merges
-  // commute, so the result is independent of worker count and merge
-  // order.
-  {
-    const obs::Span merge_span(metrics.shard_merge);
-    for (std::size_t r = 0; r < rsu_count; ++r) {
-      for (unsigned w = 0; w < workers; ++w) {
-        rsus_[r].absorb_shard(shards[w][r], invalid[w][r]);
-      }
-    }
-  }
-  std::uint64_t total = 0;
-  for (const std::uint64_t e : exchanges) total += e;
-  return total;
 }
 
 std::uint64_t VcpsSimulation::ingest_rounds(
@@ -369,8 +261,7 @@ std::uint64_t VcpsSimulation::ingest_rounds(
   // Hoist the per-RSU constants: the validated encode target, and whether
   // a vehicle would answer the query at all (the certificate and size
   // checks are vehicle-independent). See ingest_batch.h for the
-  // hash-domain invariant that keeps this bit-identical to the scalar
-  // engine.
+  // hash-domain invariant that keeps this bit-identical to drive_vehicle.
   std::vector<RsuIngestContext> contexts;
   contexts.reserve(rsu_count);
   for (const Rsu& rsu : rsus_) {

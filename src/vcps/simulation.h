@@ -39,7 +39,7 @@ struct RsuSite {
   double initial_history_volume = 0.0;
 };
 
-// Itinerary provider for the batch ingest path: fills `positions`
+// Itinerary provider for drive_vehicles: fills `positions`
 // (indices into the registered site list) for vehicle `v` in [0, count).
 // Must be a pure function of `v` — workers call it concurrently, each for
 // its own slice of vehicles.
@@ -51,12 +51,12 @@ using ItineraryProvider =
 // positions[offsets[i]] .. positions[offsets[i + 1]]. Must produce
 // exactly the per-vehicle lists an ItineraryProvider would, vehicle by
 // vehicle, and be a pure function of the range. One call per worker
-// slice instead of one per vehicle: this is the form the ingest engines
-// consume, and the per-vehicle form is adapted into it.
+// slice instead of one per vehicle: this is the form the ingest engine
+// consumes, and the per-vehicle form is adapted into it.
 //
 // `counts` must be filled with the block's per-RSU visit histogram —
 // size rsu_count, counts[r] = number of positions equal to r — which the
-// batch engine uses to size its SoA buckets without re-scanning the CSR.
+// engine uses to size its SoA buckets without re-scanning the CSR.
 // The engine cross-checks the histogram against the positions it
 // actually sees, so a provider bug fails loudly instead of corrupting
 // buckets.
@@ -69,42 +69,18 @@ using BulkItineraryProvider = std::function<void(
     common::UninitVector<std::uint32_t>& positions,
     std::vector<std::uint64_t>& offsets, std::vector<std::uint64_t>& counts)>;
 
-// How drive_vehicles turns vehicles into RSU state updates. Both
-// engines produce bit-identical reports AND channel tallies for every
-// worker count; the choice is purely a performance decision.
-// VLM_INGEST=scalar|batch|auto steers how kAuto resolves at runtime;
-// explicitly requested engines always win, so the A/B bit-identity
-// suites keep comparing both engines under any environment.
-enum class IngestMode {
-  // Per-vehicle object loop: one Vehicle, one query, one reply at a
-  // time, into per-(worker, RSU) shard states OR-merged after the join.
-  // The reference engine the batch path is asserted against.
-  kScalar,
-  // Staged columnar pipeline (ingest_batch.h) in rounds: workers
-  // materialize SoA exchange tuples, batch-hash bit indices through the
-  // encode_batch kernel and batch the channel draws; then each RSU's
-  // owner scatters every worker's tuples into the RSU's own array.
-  kBatch,
-  // Currently resolves to kBatch.
-  kAuto,
-};
-
 // Throughput counters for one drive_vehicles() call.
 struct IngestStats {
   std::uint64_t vehicles = 0;
   std::uint64_t exchanges = 0;  // successful query/reply deliveries
   unsigned workers = 1;
   double seconds = 0.0;
-  // ISA the kernel dispatch selected for the encode/merge/recount sweeps
-  // ("scalar", "avx2", "avx512") — a static string, never freed.
+  // ISA the kernel dispatch selected for the encode/scatter/recount
+  // sweeps ("scalar", "avx2", "avx512") — a static string, never freed.
   const char* kernel_isa = "scalar";
-  // Engine that ran after VLM_INGEST/auto resolution ("scalar" or
-  // "batch") — a static string, never freed.
-  const char* path = "scalar";
-  // Batch path only: per-stage seconds summed across workers (CPU time,
-  // not wall time; the stages of different workers overlap), each
-  // itself summed over the call's rounds. Scatter is the owners' time.
-  // Zero on the scalar path.
+  // Per-stage seconds summed across workers (CPU time, not wall time;
+  // the stages of different workers overlap), each itself summed over
+  // the call's rounds. Scatter is the owners' time.
   double materialize_seconds = 0.0;
   double hash_seconds = 0.0;
   double channel_seconds = 0.0;
@@ -139,38 +115,36 @@ class VcpsSimulation {
   std::uint64_t current_period() const { return period_; }
 
   // Drives one vehicle through the RSUs at `rsu_positions` (indices into
-  // the registered site list). A fresh vehicle identity is derived from
-  // the simulation seed and an internal vehicle counter. Returns the
-  // number of successful query/reply exchanges.
+  // the registered site list), one query and one reply at a time. The
+  // vehicle takes the next vehicle number (vehicles_driven() + 1), and
+  // its identity is derived from the simulation seed and that number.
+  // Channel loss and duplication are the hashed per-(period, vehicle
+  // number, RSU) draws of DsrcChannel::*_for, so this loop is the
+  // reference drive_vehicles is tested against on every channel. Returns
+  // the number of successful query/reply exchanges.
   std::size_t drive_vehicle(std::span<const std::size_t> rsu_positions);
 
   // Same, with an explicit identity (for tests that need to re-drive a
-  // known vehicle).
+  // known vehicle). The vehicle still takes the next vehicle number, so
+  // this advances vehicles_driven() too and keys the channel draws.
   std::size_t drive_vehicle_as(const core::VehicleIdentity& identity,
                                std::span<const std::size_t> rsu_positions);
 
   // Parallel ingest: drives `count` fresh vehicles (numbered as if
   // drive_vehicle had been called `count` times) through the full
-  // protocol across `workers` threads (0 = one per core). `mode` picks
-  // the engine (see IngestMode). The batch engine runs rounds of up to
-  // workers × 16384 vehicles: each worker encodes one sub-slice, then
-  // the RSUs are cut into contiguous runs of about equal exchange count
-  // and each run's owner writes its RSUs' arrays, so every array has one
-  // writer and no per-worker copies exist. The scalar engine runs one
-  // contiguous vehicle slice per worker into per-worker shard states
-  // and OR-merges them after the join. Either way the per-RSU bits AND
-  // counters are bit-identical for every worker count. Channel
-  // loss/duplication draws are seeded per (vehicle, RSU) via
-  // DsrcChannel::*_for — order-independent, unlike the sequential stream
-  // drive_vehicle consumes — which means a lossy drive_vehicles run
-  // matches other drive_vehicles runs exactly, and matches a
-  // drive_vehicle loop exactly when the channel is loss-free (no draws
-  // happen at all). The VLM_INGEST environment variable steers how the
-  // kAuto default resolves (explicit requests win).
+  // protocol across `workers` threads (0 = one per core), in rounds of up
+  // to workers × 16384 vehicles through the staged columnar pipeline
+  // (ingest_batch.h): each worker encodes one sub-slice, then the RSUs
+  // are cut into contiguous runs of about equal exchange count and each
+  // run's owner writes its RSUs' arrays, so every array has one writer
+  // and no per-worker copies exist. The channel draws are the same
+  // hashed per-exchange draws drive_vehicle makes, so the per-RSU bits,
+  // counters, exchange count and channel tallies equal those of a
+  // drive_vehicle loop over the same vehicles, for every worker count
+  // and every channel.
   IngestStats drive_vehicles(std::uint64_t count,
                              const ItineraryProvider& itinerary,
-                             unsigned workers = 0,
-                             IngestMode mode = IngestMode::kAuto);
+                             unsigned workers = 0);
 
   // Same, fed by the bulk CSR form directly — skips the per-vehicle
   // function call and copy of the adapted path, which measurably raises
@@ -178,8 +152,7 @@ class VcpsSimulation {
   // that can emit whole slices natively.
   IngestStats drive_vehicles(std::uint64_t count,
                              const BulkItineraryProvider& itineraries,
-                             unsigned workers = 0,
-                             IngestMode mode = IngestMode::kAuto);
+                             unsigned workers = 0);
 
   // Ends the period: every RSU reports to the central server, then the
   // fleet's states get a period-close health assessment (saturation /
@@ -198,13 +171,15 @@ class VcpsSimulation {
   std::uint64_t vehicles_driven() const { return vehicles_driven_; }
 
  private:
-  // The two engines behind drive_vehicles. Each fills the per-worker
-  // channel tallies (one per entry of `tallies`, whose size is the
-  // worker count) and `stats`' per-engine fields, and returns the
-  // recorded exchanges.
-  std::uint64_t ingest_scalar(std::uint64_t count,
-                              const BulkItineraryProvider& itineraries,
-                              std::span<ChannelTally> tallies);
+  // drive_vehicle and drive_vehicle_as: drives `identity` as vehicle
+  // number `vehicle_number`.
+  std::size_t drive_numbered(std::uint64_t vehicle_number,
+                             const core::VehicleIdentity& identity,
+                             std::span<const std::size_t> rsu_positions);
+
+  // The rounds behind drive_vehicles. Fills the per-worker channel
+  // tallies (one per entry of `tallies`, whose size is the worker count)
+  // and `stats`' stage fields, and returns the recorded exchanges.
   std::uint64_t ingest_rounds(std::uint64_t count,
                               const BulkItineraryProvider& itineraries,
                               std::span<ChannelTally> tallies,
@@ -219,7 +194,7 @@ class VcpsSimulation {
   std::uint64_t vehicles_driven_ = 0;
   bool period_open_ = false;
   obs::health::HealthSummary last_health_;
-  // The batch engine's per-worker exchange columns, kept across rounds
+  // The per-worker exchange columns, kept across rounds
   // and calls so steady-state ingest reuses their capacity.
   std::vector<ExchangeColumns> columns_;
 };

@@ -176,7 +176,7 @@ TEST(BitArrayOr, IsCommutativeAndIdempotent) {
   EXPECT_EQ((a | b) | b, a | b);
 }
 
-// --- Word-level merge + bulk set (sharded ingest primitives) ---
+// --- Word-level merge + bulk set ---
 
 // merge_or / set_bulk maintain the cached ones-counter by popcount; these
 // tests pin that against the per-bit reference across sub-word,
@@ -268,44 +268,6 @@ TEST(BitArraySetBulk, DeliveriesSetOnlyDeliveredIndices) {
   const std::vector<std::uint8_t> short_deliveries{1};
   EXPECT_THROW(bits.set_bulk(indices, short_deliveries),
                std::invalid_argument);
-}
-
-TEST(ShardedBitArray, MergedEqualsSerialSetForAnyShardCount) {
-  const std::size_t size = 100;  // unaligned on purpose
-  std::vector<std::size_t> indices;
-  for (std::size_t i = 0; i < size; i += 7) indices.push_back(i);
-  BitArray serial(size);
-  for (const std::size_t i : indices) serial.set(i);
-  for (const unsigned shard_count : {1u, 3u, 8u}) {
-    ShardedBitArray sharded(size, shard_count);
-    EXPECT_EQ(sharded.size(), size);
-    EXPECT_EQ(sharded.shard_count(), shard_count);
-    for (std::size_t j = 0; j < indices.size(); ++j) {
-      sharded.shard(static_cast<unsigned>(j) % shard_count).set(indices[j]);
-    }
-    EXPECT_EQ(sharded.merged(), serial) << "shards " << shard_count;
-    EXPECT_EQ(sharded.merged().count_ones(), serial.count_ones());
-  }
-}
-
-TEST(ShardedBitArray, OverlappingShardWritesStayIdempotent) {
-  ShardedBitArray sharded(64, 4);
-  for (unsigned w = 0; w < 4; ++w) sharded.shard(w).set(17);
-  EXPECT_EQ(sharded.merged().count_ones(), 1u);
-}
-
-TEST(ShardedBitArray, ResetClearsEveryShard) {
-  ShardedBitArray sharded(64, 3);
-  sharded.shard(0).set(1);
-  sharded.shard(2).set(2);
-  sharded.reset();
-  EXPECT_EQ(sharded.merged().count_ones(), 0u);
-}
-
-TEST(ShardedBitArray, RejectsBadShardAccess) {
-  ShardedBitArray sharded(64, 2);
-  EXPECT_THROW((void)sharded.shard(2), std::invalid_argument);
-  EXPECT_THROW(ShardedBitArray(64, 0), std::invalid_argument);
 }
 
 // --- Serialization ---

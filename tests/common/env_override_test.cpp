@@ -1,8 +1,8 @@
-// The VLM_KERNELS / VLM_DECODE / VLM_INGEST overrides all route through
-// one parser; these tests pin its contract — exact matching, unset/empty
-// and unrecognized both fall back, and the unrecognized warning fires at
-// most once per (variable, value) pair — through the text seam so no test
-// mutates the process environment.
+// The VLM_KERNELS / VLM_DECODE overrides route through one parser; these
+// tests pin its contract — exact matching, unset/empty and unrecognized
+// both fall back, and the unrecognized warning fires at most once per
+// (variable, value) pair — through the text seam so no test mutates the
+// process environment.
 #include "common/env_override.h"
 
 #include <gtest/gtest.h>

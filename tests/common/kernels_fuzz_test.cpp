@@ -319,13 +319,16 @@ TEST_P(KernelFuzz, ZipfRankRunsMatchesScalarAndExpandedBatch) {
     std::vector<std::uint64_t> starts(n_runs);
     std::vector<std::uint32_t> run_slots(n_runs);
     std::vector<std::uint64_t> expanded;
+    const auto slots = [&](std::uint64_t n) {
+      return static_cast<std::uint32_t>(rng.uniform(n));
+    };
     for (std::size_t i = 0; i < n_runs; ++i) {
       starts[i] = rng.next();
       switch (rng.uniform(5)) {
         case 0: run_slots[i] = 0; break;
         case 1: run_slots[i] = 1; break;
-        case 2: run_slots[i] = 1020 + rng.uniform(10); break;  // chunk edge
-        default: run_slots[i] = rng.uniform(120); break;
+        case 2: run_slots[i] = 1020 + slots(10); break;  // chunk edge
+        default: run_slots[i] = slots(120); break;
       }
       for (std::uint32_t s = 0; s < run_slots[i]; ++s) {
         expanded.push_back(starts[i] + s * kGamma);

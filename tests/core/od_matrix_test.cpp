@@ -286,17 +286,13 @@ TEST(OdMatrix, BlockedCellsMatchPerPairOracleAtCityScale) {
 }
 
 // The cache-blocked decode is a DRAM-traffic optimization, never an
-// approximation: every cell must match the per-pair path bit for bit,
-// for every tile size and worker count, including mixed array sizes
+// approximation: every cell must match the per-pair estimator bit for
+// bit, for every tile size and worker count, including mixed array sizes
 // (unfold-aware tiling) and tile sizes that don't divide the arrays.
 TEST(OdMatrix, BlockedDecodeBitIdenticalToPairwiseOnMixedSizes) {
-  if (std::getenv("VLM_DECODE") != nullptr) {
-    // The env override pins BOTH decodes to one path (it wins over the
-    // explicit DecodeMode, like VLM_KERNELS), which would make this
-    // comparison vacuous. The batch-vs-per-pair identity stays covered
-    // under pinned CI jobs by JointZeroCountsBatch.* and BatchDecodeFuzz,
-    // which call the primitive directly.
-    GTEST_SKIP() << "VLM_DECODE is pinned; path comparison is overridden";
+  const char* pinned = std::getenv("VLM_DECODE");
+  if (pinned != nullptr && std::string_view(pinned) != "blocked") {
+    GTEST_SKIP() << "VLM_DECODE is pinned to another path";
   }
   Encoder enc(EncoderConfig{});
   std::vector<RsuState> states;
@@ -313,11 +309,16 @@ TEST(OdMatrix, BlockedDecodeBitIdenticalToPairwiseOnMixedSizes) {
     }
   }
 
-  DecodeOptions pairwise_options;
-  pairwise_options.mode = DecodeMode::kPairwise;
-  DecodeStats pairwise_stats;
-  const OdMatrix pairwise =
-      estimate_od_matrix(states, 2, 1.96, pairwise_options, &pairwise_stats);
+  const IntervalEstimator oracle(2, 1.96);
+  std::vector<EstimateInterval> expected;
+  std::size_t words = 0;
+  for (std::size_t a = 0; a < states.size(); ++a) {
+    for (std::size_t b = a + 1; b < states.size(); ++b) {
+      PairEstimate point;
+      expected.push_back(oracle.estimate(states[a], states[b], &point));
+      words += point.words_scanned;
+    }
+  }
 
   for (const std::size_t tile_words : {std::size_t{1}, std::size_t{7},
                                        std::size_t{64}, std::size_t{0}}) {
@@ -329,9 +330,10 @@ TEST(OdMatrix, BlockedDecodeBitIdenticalToPairwiseOnMixedSizes) {
       DecodeStats stats;
       const OdMatrix blocked =
           estimate_od_matrix(states, 2, 1.96, options, &stats);
+      std::size_t p = 0;
       for (std::size_t a = 0; a < states.size(); ++a) {
-        for (std::size_t b = a + 1; b < states.size(); ++b) {
-          const EstimateInterval& pe = pairwise.at(a, b);
+        for (std::size_t b = a + 1; b < states.size(); ++b, ++p) {
+          const EstimateInterval& pe = expected[p];
           const EstimateInterval& be = blocked.at(a, b);
           EXPECT_EQ(pe.n_c_hat, be.n_c_hat)
               << "tile_words=" << tile_words << " workers=" << workers
@@ -343,9 +345,9 @@ TEST(OdMatrix, BlockedDecodeBitIdenticalToPairwiseOnMixedSizes) {
           EXPECT_EQ(pe.degraded, be.degraded);
         }
       }
-      // The decode accounting is path-independent as well.
-      EXPECT_EQ(stats.pairs_decoded, pairwise_stats.pairs_decoded);
-      EXPECT_EQ(stats.words_scanned, pairwise_stats.words_scanned);
+      // The decode accounting is the per-pair totals as well.
+      EXPECT_EQ(stats.pairs_decoded, expected.size());
+      EXPECT_EQ(stats.words_scanned, words);
       EXPECT_GT(stats.tile_words, 0u);
       EXPECT_GT(stats.dram_passes_saved, 0u);
     }
@@ -361,7 +363,7 @@ TEST(OdMatrix, DecodePathSelectionAndStats) {
 
   DecodeStats stats;
   (void)estimate_od_matrix(states, 2, 1.96, 1, &stats);
-  // kAuto resolves to the blocked path for K >= 3.
+  // The default is the blocked path.
   EXPECT_STREQ(stats.path, "blocked");
   EXPECT_GT(stats.tile_words, 0u);
   // 4 arrays each touched by 3 pairs: per-pair would load each one 3
@@ -375,20 +377,14 @@ TEST(OdMatrix, DecodePathSelectionAndStats) {
   EXPECT_GE(pooled_stats.pool_lifetime_dispatches,
             pooled_stats.pool_dispatches);
 
-  DecodeOptions pairwise_options;
-  pairwise_options.mode = DecodeMode::kPairwise;
-  DecodeStats pairwise_stats;
-  (void)estimate_od_matrix(states, 2, 1.96, pairwise_options,
-                           &pairwise_stats);
-  EXPECT_STREQ(pairwise_stats.path, "pairwise");
-  EXPECT_EQ(pairwise_stats.tile_words, 0u);
-  EXPECT_EQ(pairwise_stats.dram_passes_saved, 0u);
-
-  // A single pair has nothing to block over: kAuto picks pairwise.
+  // A single pair takes the blocked path too; each array is loaded once
+  // either way, so no pass is saved.
   const std::span<const RsuState> two(states.data(), 2);
   DecodeStats two_stats;
   (void)estimate_od_matrix(two, 2, 1.96, 1, &two_stats);
-  EXPECT_STREQ(two_stats.path, "pairwise");
+  EXPECT_STREQ(two_stats.path, "blocked");
+  EXPECT_GT(two_stats.tile_words, 0u);
+  EXPECT_EQ(two_stats.dram_passes_saved, 0u);
 }
 
 TEST(OdMatrix, DecodeStatsThroughputHelpers) {

@@ -1,7 +1,5 @@
 #include "core/rsu_state.h"
 
-#include "core/pair_simulation.h"
-
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -66,42 +64,6 @@ TEST(RsuState, ResetClearsPeriod) {
   state.reset();
   EXPECT_EQ(state.counter(), 0u);
   EXPECT_EQ(state.zero_count(), 8u);
-}
-
-TEST(RsuStateMerge, CombinesShardedSubPeriods) {
-  RsuState a(32), b(32);
-  a.record(1);
-  a.record(5);
-  b.record(5);
-  b.record(9);
-  a.merge(b);
-  EXPECT_EQ(a.counter(), 4u);
-  EXPECT_TRUE(a.bits().test(1));
-  EXPECT_TRUE(a.bits().test(5));
-  EXPECT_TRUE(a.bits().test(9));
-  EXPECT_EQ(a.bits().count_ones(), 3u);  // shared bit 5 merged, not doubled
-}
-
-TEST(RsuStateMerge, ShardedCollectionEqualsMonolithic) {
-  // Splitting a vehicle stream across two collectors and merging must be
-  // indistinguishable from one collector seeing everything.
-  Encoder enc{EncoderConfig{}};
-  RsuState whole(1 << 12), shard_a(1 << 12), shard_b(1 << 12);
-  const RsuId rsu{77};
-  for (std::uint64_t i = 0; i < 3'000; ++i) {
-    const VehicleIdentity v = synthetic_vehicle(5, i);
-    const std::size_t bit = enc.bit_index(v, rsu, 1 << 12);
-    whole.record(bit);
-    (i % 2 == 0 ? shard_a : shard_b).record(bit);
-  }
-  shard_a.merge(shard_b);
-  EXPECT_EQ(shard_a.counter(), whole.counter());
-  EXPECT_EQ(shard_a.bits(), whole.bits());
-}
-
-TEST(RsuStateMerge, RejectsSizeMismatch) {
-  RsuState a(32), b(64);
-  EXPECT_THROW(a.merge(b), std::invalid_argument);
 }
 
 TEST(RsuStateFromReport, ReconstructsState) {

@@ -159,27 +159,26 @@ TEST(MetricsStatsView, IngestAndPipelineStatsEqualRegistryDelta) {
 
   const std::uint64_t vehicles_before = counter_value("ingest/vehicles");
   const std::uint64_t exchanges_before = counter_value("ingest/exchanges");
-  const std::uint64_t shards_before = counter_value("ingest/shards_absorbed");
   const std::uint64_t reports_before = counter_value("server/reports_ingested");
   const obs::HistogramSummary ingest_before = phase_summary("period/ingest");
+  const obs::HistogramSummary merge_before = phase_summary("ingest/shard_merge");
   const obs::HistogramSummary close_before = phase_summary("period/close");
 
   vcps::VcpsSimulation sim(config, sites);
   sim.begin_period();
-  const vcps::IngestStats stats =
-      sim.drive_vehicles(kVehicles, itinerary, 2, vcps::IngestMode::kBatch);
+  const vcps::IngestStats stats = sim.drive_vehicles(kVehicles, itinerary, 2);
   sim.end_period();
 
   EXPECT_EQ(counter_value("ingest/vehicles") - vehicles_before,
             stats.vehicles);
   EXPECT_EQ(counter_value("ingest/exchanges") - exchanges_before,
             stats.exchanges);
-  // The batch engine writes each RSU's array in place: no shards.
-  EXPECT_EQ(counter_value("ingest/shards_absorbed") - shards_before, 0u);
 
   const obs::HistogramSummary ingest_after = phase_summary("period/ingest");
   EXPECT_EQ(ingest_after.count - ingest_before.count, 1u);
   EXPECT_NEAR(ingest_after.total - ingest_before.total, stats.seconds, 1e-6);
+  // One owner-pass wall time per call.
+  EXPECT_EQ(phase_summary("ingest/shard_merge").count - merge_before.count, 1u);
 
   // PipelineStats: end_period ingests one report per RSU, and the span
   // covering it records exactly once.
@@ -188,20 +187,6 @@ TEST(MetricsStatsView, IngestAndPipelineStatsEqualRegistryDelta) {
   EXPECT_EQ(pipeline.reports_quarantined, 0u);
   EXPECT_EQ(counter_value("server/reports_ingested") - reports_before, kRsus);
   EXPECT_EQ(phase_summary("period/close").count - close_before.count, 1u);
-
-  // The scalar reference engine merges one shard per (worker, RSU).
-  const std::uint64_t scalar_shards_before =
-      counter_value("ingest/shards_absorbed");
-  const std::uint64_t scalar_exchanges_before =
-      counter_value("ingest/exchanges");
-  sim.begin_period();
-  const vcps::IngestStats scalar =
-      sim.drive_vehicles(kVehicles, itinerary, 2, vcps::IngestMode::kScalar);
-  sim.end_period();
-  EXPECT_EQ(counter_value("ingest/exchanges") - scalar_exchanges_before,
-            scalar.exchanges);
-  EXPECT_EQ(counter_value("ingest/shards_absorbed") - scalar_shards_before,
-            static_cast<std::uint64_t>(scalar.workers) * kRsus);
 }
 
 }  // namespace

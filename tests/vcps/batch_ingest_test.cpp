@@ -1,10 +1,9 @@
-// Bit-identity of the columnar batch ingest engine (IngestMode::kBatch)
-// against the per-vehicle scalar loop — the acceptance gate of the staged
-// SoA pipeline and of its owner pass, where each RSU's array is written
-// by the one worker that owns it in a round. Every suite here fixes the engine explicitly through the
-// `mode` parameter, so the assertions hold regardless of what VLM_INGEST
-// or the kAuto default resolve to, and regardless of which engine the
-// ParallelIngest suites happened to exercise.
+// Bit-identity of the columnar ingest engine behind drive_vehicles
+// against the serial drive_vehicle loop — the acceptance gate of the
+// staged SoA pipeline and of its owner pass, where each RSU's array is
+// written by the one worker that owns it in a round. The serial loop
+// draws the same hashed per-exchange channel outcomes, so it is the
+// reference on lossy and duplicating channels too.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -88,33 +87,36 @@ BulkItineraryProvider bulk_provider_for(
 }
 
 // One period of the workload's vehicles through drive_vehicles.
-std::unique_ptr<VcpsSimulation> run_with_mode(
+std::unique_ptr<VcpsSimulation> run_batch(
     const ChannelConfig& channel, const traffic::MultiRsuWorkload& workload,
-    std::span<const RsuSite> sites, unsigned workers, IngestMode mode,
+    std::span<const RsuSite> sites, unsigned workers,
     IngestStats* stats_out = nullptr) {
   auto sim = std::make_unique<VcpsSimulation>(sim_config(channel), sites);
   sim->begin_period();
   const std::uint64_t vehicles = workload.config().vehicle_count;
   const IngestStats stats =
-      sim->drive_vehicles(vehicles, provider_for(workload), workers, mode);
+      sim->drive_vehicles(vehicles, provider_for(workload), workers);
   EXPECT_EQ(stats.vehicles, vehicles);
   if (stats_out != nullptr) *stats_out = stats;
   sim->end_period();
   return sim;
 }
 
-// The same period through the one-vehicle-at-a-time serial API.
+// The same period through the one-vehicle-at-a-time serial API, the
+// reference; `exchanges` receives the summed drive_vehicle returns.
 std::unique_ptr<VcpsSimulation> run_serial_loop(
-    const traffic::MultiRsuWorkload& workload, std::span<const RsuSite> sites) {
-  auto serial = std::make_unique<VcpsSimulation>(sim_config({}), sites);
+    const ChannelConfig& channel, const traffic::MultiRsuWorkload& workload,
+    std::span<const RsuSite> sites, std::uint64_t& exchanges) {
+  auto serial = std::make_unique<VcpsSimulation>(sim_config(channel), sites);
   serial->begin_period();
   common::VisitedMask visited(workload.config().rsu_count);
   std::vector<std::uint32_t> rsus;
   std::vector<std::size_t> positions;
+  exchanges = 0;
   for (std::uint64_t v = 0; v < workload.config().vehicle_count; ++v) {
     workload.itinerary(v, visited, rsus);
     positions.assign(rsus.begin(), rsus.end());
-    serial->drive_vehicle(positions);
+    exchanges += serial->drive_vehicle(positions);
   }
   serial->end_period();
   return serial;
@@ -139,99 +141,51 @@ void expect_tallies_identical(const VcpsSimulation& a,
   EXPECT_EQ(a.channel().replies_duplicated(), b.channel().replies_duplicated());
 }
 
-// The owner-pass gate: the batch engine at every worker count must land
-// the reports, exchange count and channel tallies of the batch engine at
-// workers = 1 and of the scalar engine, and — loss-free — the reports of
-// the serial drive_vehicle loop.
-void expect_batch_exact(const traffic::MultiRsuConfig& config,
-                        const ChannelConfig& channel,
-                        std::initializer_list<unsigned> worker_counts) {
+// The oracle gate: drive_vehicles at every worker count must land the
+// serial drive_vehicle loop's reports (bits and counters), exchange
+// count, channel tallies and vehicle count over the same channel.
+void expect_matches_serial_loop(const traffic::MultiRsuConfig& config,
+                                const ChannelConfig& channel,
+                                std::initializer_list<unsigned> worker_counts) {
   traffic::MultiRsuWorkload workload(config);
   const std::vector<RsuSite> sites = sites_for(workload);
-  IngestStats scalar_stats, single_stats;
-  const auto scalar = run_with_mode(channel, workload, sites, 1,
-                                    IngestMode::kScalar, &scalar_stats);
-  const auto single = run_with_mode(channel, workload, sites, 1,
-                                    IngestMode::kBatch, &single_stats);
-  EXPECT_EQ(single_stats.exchanges, scalar_stats.exchanges);
-  expect_reports_identical(*scalar, *single);
-  expect_tallies_identical(*scalar, *single);
-  if (channel.query_loss == 0.0 && channel.reply_loss == 0.0 &&
-      channel.reply_duplicate == 0.0) {
-    expect_reports_identical(*run_serial_loop(workload, sites), *single);
-  }
+  std::uint64_t serial_exchanges = 0;
+  const auto serial = run_serial_loop(channel, workload, sites,
+                                      serial_exchanges);
+  ASSERT_GT(serial_exchanges, 0u);
   for (const unsigned workers : worker_counts) {
     SCOPED_TRACE(testing::Message() << "workers " << workers);
     IngestStats stats;
-    const auto batch = run_with_mode(channel, workload, sites, workers,
-                                     IngestMode::kBatch, &stats);
-    EXPECT_EQ(stats.exchanges, scalar_stats.exchanges);
-    expect_reports_identical(*single, *batch);
-    expect_reports_identical(*scalar, *batch);
-    expect_tallies_identical(*scalar, *batch);
+    const auto batch = run_batch(channel, workload, sites, workers, &stats);
+    EXPECT_EQ(stats.exchanges, serial_exchanges);
+    expect_reports_identical(*serial, *batch);
+    expect_tallies_identical(*serial, *batch);
+    EXPECT_EQ(batch->vehicles_driven(), serial->vehicles_driven());
   }
 }
 
-TEST(BatchIngest, BitIdenticalToScalarEngineAcrossWorkerCountsLossyChannel) {
-  // The whole point of the refactor: for every worker count, the staged
-  // columnar pipeline must land exactly the bits, counters, exchange
-  // counts, AND channel tallies of the per-vehicle loop under a lossy +
-  // duplicating channel.
-  traffic::MultiRsuWorkload workload(workload_config());
-  const std::vector<RsuSite> sites = sites_for(workload);
-  const ChannelConfig channel = lossy_channel();
-
-  for (const unsigned workers : {1u, 2u, 4u, 7u}) {
-    SCOPED_TRACE(testing::Message() << "workers " << workers);
-    IngestStats scalar_stats, batch_stats;
-    const auto scalar = run_with_mode(channel, workload, sites, workers,
-                                      IngestMode::kScalar, &scalar_stats);
-    const auto batch = run_with_mode(channel, workload, sites, workers,
-                                     IngestMode::kBatch, &batch_stats);
-    EXPECT_STREQ(scalar_stats.path, "scalar");
-    EXPECT_STREQ(batch_stats.path, "batch");
-    EXPECT_EQ(batch_stats.exchanges, scalar_stats.exchanges);
-    expect_reports_identical(*scalar, *batch);
-    expect_tallies_identical(*scalar, *batch);
-  }
+TEST(BatchIngest, BitIdenticalToSerialLoopAcrossWorkerCountsLossyChannel) {
+  // The whole point of the pipeline: for every worker count, it must
+  // land exactly the bits, counters, exchange counts, AND channel
+  // tallies of the per-vehicle loop under a lossy + duplicating channel.
+  expect_matches_serial_loop(workload_config(), lossy_channel(),
+                             {1u, 2u, 4u, 7u});
 }
 
 TEST(BatchIngest, MatchesSerialDriveVehicleLoopWhenLossFree) {
-  // Loss-free channel: no randomness on any path, so the batch engine
-  // must also match the one-vehicle-at-a-time serial API exactly.
-  traffic::MultiRsuWorkload workload(workload_config());
-  const std::vector<RsuSite> sites = sites_for(workload);
-  const auto serial = run_serial_loop(workload, sites);
-  for (const unsigned workers : {1u, 4u}) {
-    const auto batch = run_with_mode({}, workload, sites, workers,
-                                     IngestMode::kBatch);
-    expect_reports_identical(*serial, *batch);
-  }
+  // Loss-free channel: no draw happens on either path.
+  expect_matches_serial_loop(workload_config(), {}, {1u, 4u});
 }
 
 TEST(BatchIngest, RoundsBitIdenticalAcrossWorkersLossyChannel) {
   // A round gives each worker at most 16384 vehicles, so 20000 vehicles
   // take two rounds on 1 worker (the second one partial) and one round
   // split into equal sub-slices on 2, 4 and 7. Every shape must land the
-  // scalar engine's exact bits, counters, exchange counts, and channel
+  // serial loop's exact bits, counters, exchange counts, and channel
   // tallies.
   traffic::MultiRsuConfig config = workload_config();
   config.vehicle_count = 20'000;
-  traffic::MultiRsuWorkload workload(config);
-  const std::vector<RsuSite> sites = sites_for(workload);
-  const ChannelConfig channel = lossy_channel();
-
-  for (const unsigned workers : {1u, 2u, 4u, 7u}) {
-    SCOPED_TRACE(testing::Message() << "workers " << workers);
-    IngestStats scalar_stats, batch_stats;
-    const auto scalar = run_with_mode(channel, workload, sites, workers,
-                                      IngestMode::kScalar, &scalar_stats);
-    const auto batch = run_with_mode(channel, workload, sites, workers,
-                                     IngestMode::kBatch, &batch_stats);
-    EXPECT_EQ(batch_stats.exchanges, scalar_stats.exchanges);
-    expect_reports_identical(*scalar, *batch);
-    expect_tallies_identical(*scalar, *batch);
-  }
+  expect_matches_serial_loop(config, lossy_channel(), {1u, 2u, 4u, 7u});
 }
 
 TEST(BatchIngest, OwnerPassTwoRsusSevenWorkers) {
@@ -241,7 +195,7 @@ TEST(BatchIngest, OwnerPassTwoRsusSevenWorkers) {
   config.min_visits = 1;
   config.max_visits = 2;
   for (const ChannelConfig& channel : {ChannelConfig{}, lossy_channel()}) {
-    expect_batch_exact(config, channel, {2u, 7u});
+    expect_matches_serial_loop(config, channel, {1u, 2u, 7u});
   }
 }
 
@@ -256,7 +210,7 @@ TEST(BatchIngest, OwnerPassOneRsuOutweighsAWorkersShare) {
   {
     traffic::MultiRsuWorkload workload(config);
     const std::vector<RsuSite> sites = sites_for(workload);
-    const auto sim = run_with_mode({}, workload, sites, 4, IngestMode::kBatch);
+    const auto sim = run_batch({}, workload, sites, 4);
     std::uint64_t total = 0;
     for (std::size_t r = 0; r < sim->rsu_count(); ++r) {
       total += sim->rsu(r).state().counter();
@@ -264,7 +218,7 @@ TEST(BatchIngest, OwnerPassOneRsuOutweighsAWorkersShare) {
     ASSERT_GT(sim->rsu(0).state().counter() * 4, total);
   }
   for (const ChannelConfig& channel : {ChannelConfig{}, lossy_channel()}) {
-    expect_batch_exact(config, channel, {2u, 4u, 7u});
+    expect_matches_serial_loop(config, channel, {1u, 2u, 4u, 7u});
   }
 }
 
@@ -276,7 +230,7 @@ TEST(BatchIngest, OwnerPassPartialLastRound) {
   traffic::MultiRsuConfig config = workload_config();
   config.vehicle_count = 4 * 16384 + 3;
   for (const ChannelConfig& channel : {ChannelConfig{}, lossy_channel()}) {
-    expect_batch_exact(config, channel, {2u, 4u, 7u});
+    expect_matches_serial_loop(config, channel, {1u, 2u, 4u, 7u});
   }
 }
 
@@ -284,22 +238,13 @@ TEST(BatchIngest, StageSecondsPopulatedOnBatchPathOnly) {
   traffic::MultiRsuWorkload workload(workload_config());
   const std::vector<RsuSite> sites = sites_for(workload);
 
-  IngestStats batch_stats;
-  run_with_mode(lossy_channel(), workload, sites, 2, IngestMode::kBatch,
-                &batch_stats);
+  IngestStats stats;
+  run_batch(lossy_channel(), workload, sites, 2, &stats);
   // Wall clocks tick: with 6000 vehicles every stage measures > 0.
-  EXPECT_GT(batch_stats.materialize_seconds, 0.0);
-  EXPECT_GT(batch_stats.hash_seconds, 0.0);
-  EXPECT_GT(batch_stats.channel_seconds, 0.0);
-  EXPECT_GT(batch_stats.scatter_seconds, 0.0);
-
-  IngestStats scalar_stats;
-  run_with_mode(lossy_channel(), workload, sites, 2, IngestMode::kScalar,
-                &scalar_stats);
-  EXPECT_EQ(scalar_stats.materialize_seconds, 0.0);
-  EXPECT_EQ(scalar_stats.hash_seconds, 0.0);
-  EXPECT_EQ(scalar_stats.channel_seconds, 0.0);
-  EXPECT_EQ(scalar_stats.scatter_seconds, 0.0);
+  EXPECT_GT(stats.materialize_seconds, 0.0);
+  EXPECT_GT(stats.hash_seconds, 0.0);
+  EXPECT_GT(stats.channel_seconds, 0.0);
+  EXPECT_GT(stats.scatter_seconds, 0.0);
 }
 
 TEST(BatchIngest, MaterializationReproducesSeedConfigItineraries) {
@@ -375,24 +320,22 @@ TEST(BatchIngest, ColumnsResetClearsStaleTuples) {
 TEST(BatchIngest, BulkProviderMatchesPerVehicleProvider) {
   // The native CSR bulk form and the adapted per-vehicle form must be
   // indistinguishable end to end — same reports, same exchange counts,
-  // same channel tallies — on both engines.
+  // same channel tallies.
   traffic::MultiRsuWorkload workload(workload_config());
   const std::vector<RsuSite> sites = sites_for(workload);
   const ChannelConfig channel = lossy_channel();
 
-  for (const IngestMode mode : {IngestMode::kScalar, IngestMode::kBatch}) {
-    IngestStats per_vehicle_stats;
-    const auto per_vehicle = run_with_mode(channel, workload, sites, 2, mode,
-                                           &per_vehicle_stats);
-    auto bulk = std::make_unique<VcpsSimulation>(sim_config(channel), sites);
-    bulk->begin_period();
-    const IngestStats bulk_stats =
-        bulk->drive_vehicles(kVehicles, bulk_provider_for(workload), 2, mode);
-    bulk->end_period();
-    EXPECT_EQ(bulk_stats.exchanges, per_vehicle_stats.exchanges);
-    expect_reports_identical(*per_vehicle, *bulk);
-    expect_tallies_identical(*per_vehicle, *bulk);
-  }
+  IngestStats per_vehicle_stats;
+  const auto per_vehicle =
+      run_batch(channel, workload, sites, 2, &per_vehicle_stats);
+  auto bulk = std::make_unique<VcpsSimulation>(sim_config(channel), sites);
+  bulk->begin_period();
+  const IngestStats bulk_stats =
+      bulk->drive_vehicles(kVehicles, bulk_provider_for(workload), 2);
+  bulk->end_period();
+  EXPECT_EQ(bulk_stats.exchanges, per_vehicle_stats.exchanges);
+  expect_reports_identical(*per_vehicle, *bulk);
+  expect_tallies_identical(*per_vehicle, *bulk);
 }
 
 }  // namespace

@@ -8,50 +8,6 @@
 namespace vlm::vcps {
 namespace {
 
-TEST(Channel, ReliableByDefault) {
-  DsrcChannel channel({}, 1);
-  for (int i = 0; i < 1000; ++i) {
-    EXPECT_TRUE(channel.query_delivered());
-    EXPECT_EQ(channel.deliveries_for_reply(), 1);
-  }
-  EXPECT_EQ(channel.queries_lost(), 0u);
-  EXPECT_EQ(channel.replies_lost(), 0u);
-  EXPECT_EQ(channel.replies_duplicated(), 0u);
-}
-
-TEST(Channel, LossRatesAreHonored) {
-  ChannelConfig config;
-  config.query_loss = 0.2;
-  config.reply_loss = 0.1;
-  DsrcChannel channel(config, 7);
-  int queries_ok = 0, replies_ok = 0;
-  constexpr int kTrials = 50'000;
-  for (int i = 0; i < kTrials; ++i) {
-    if (channel.query_delivered()) ++queries_ok;
-    if (channel.deliveries_for_reply() == 1) ++replies_ok;
-  }
-  EXPECT_NEAR(static_cast<double>(queries_ok) / kTrials, 0.8, 0.01);
-  EXPECT_NEAR(static_cast<double>(replies_ok) / kTrials, 0.9, 0.01);
-  EXPECT_EQ(channel.queries_lost(), static_cast<std::uint64_t>(kTrials - queries_ok));
-}
-
-TEST(Channel, DuplicationProducesDoubleDelivery) {
-  ChannelConfig config;
-  config.reply_duplicate = 0.25;
-  DsrcChannel channel(config, 9);
-  int doubles = 0;
-  constexpr int kTrials = 40'000;
-  for (int i = 0; i < kTrials; ++i) {
-    const int d = channel.deliveries_for_reply();
-    ASSERT_TRUE(d == 1 || d == 2);
-    if (d == 2) ++doubles;
-  }
-  EXPECT_NEAR(static_cast<double>(doubles) / kTrials, 0.25, 0.01);
-  EXPECT_EQ(channel.replies_duplicated(), static_cast<std::uint64_t>(doubles));
-}
-
-// --- Order-independent draws (sharded ingest path) ---
-
 TEST(ChannelHashedDraws, DeterministicPerExchangeRegardlessOfOrder) {
   ChannelConfig config;
   config.query_loss = 0.3;

@@ -1,8 +1,7 @@
-// Determinism of the sharded batch ingest (drive_vehicles): per-RSU
-// reports — bits AND counters — must be bit-identical for every worker
-// count, and identical to the serial drive_vehicle loop when the channel
-// is loss-free. These suites are the TSan CI target (ctest -R
-// "Parallel|Sharded|Ingest").
+// Determinism of the parallel ingest (drive_vehicles): per-RSU reports —
+// bits AND counters — must be bit-identical for every worker count and
+// to the serial drive_vehicle loop, loss-free or not. These suites are
+// the TSan CI target (ctest -R "Parallel|Ingest").
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -64,7 +63,7 @@ ItineraryProvider provider_for(const traffic::MultiRsuWorkload& workload) {
 }
 
 // Runs one full period through drive_vehicles with `workers` threads.
-std::unique_ptr<VcpsSimulation> run_sharded(
+std::unique_ptr<VcpsSimulation> run_parallel(
     const ChannelConfig& channel, const traffic::MultiRsuWorkload& workload,
     std::span<const RsuSite> sites, unsigned workers) {
   auto sim = std::make_unique<VcpsSimulation>(sim_config(channel), sites);
@@ -75,6 +74,24 @@ std::unique_ptr<VcpsSimulation> run_sharded(
   EXPECT_GT(stats.exchanges, 0u);
   sim->end_period();
   return sim;
+}
+
+// The same period through the one-vehicle-at-a-time serial API.
+std::unique_ptr<VcpsSimulation> run_serial(
+    const ChannelConfig& channel, const traffic::MultiRsuWorkload& workload,
+    std::span<const RsuSite> sites) {
+  auto serial = std::make_unique<VcpsSimulation>(sim_config(channel), sites);
+  serial->begin_period();
+  common::VisitedMask visited(kRsus);
+  std::vector<std::uint32_t> rsus;
+  std::vector<std::size_t> positions;
+  for (std::uint64_t v = 0; v < kVehicles; ++v) {
+    workload.itinerary(v, visited, rsus);
+    positions.assign(rsus.begin(), rsus.end());
+    serial->drive_vehicle(positions);
+  }
+  serial->end_period();
+  return serial;
 }
 
 void expect_reports_identical(const VcpsSimulation& a,
@@ -91,9 +108,9 @@ void expect_reports_identical(const VcpsSimulation& a,
 
 TEST(ParallelIngest, ReportsBitIdenticalAcrossWorkerCountsLossyChannel) {
   // Lossy + duplicating channel: the hardest case, because every outcome
-  // is a random draw. Per-(vehicle, RSU) hashed draws make the outcome a
-  // pure function of the exchange, so any worker count must produce the
-  // same bits, the same counters, and the same channel tallies.
+  // is a random draw. Per-(period, vehicle, RSU) hashed draws make the
+  // outcome a pure function of the exchange, so every worker count must
+  // produce the serial loop's bits, counters, and channel tallies.
   ChannelConfig channel;
   channel.query_loss = 0.15;
   channel.reply_loss = 0.1;
@@ -101,10 +118,12 @@ TEST(ParallelIngest, ReportsBitIdenticalAcrossWorkerCountsLossyChannel) {
   traffic::MultiRsuWorkload workload(workload_config());
   const std::vector<RsuSite> sites = sites_for(workload);
 
-  const auto reference = run_sharded(channel, workload, sites, 1);
-  for (const unsigned workers : {2u, 4u, 7u}) {
-    const auto parallel = run_sharded(channel, workload, sites, workers);
+  const auto reference = run_serial(channel, workload, sites);
+  EXPECT_GT(reference->channel().queries_lost(), 0u);
+  for (const unsigned workers : {1u, 2u, 4u, 7u}) {
+    const auto parallel = run_parallel(channel, workload, sites, workers);
     expect_reports_identical(*reference, *parallel);
+    EXPECT_EQ(parallel->vehicles_driven(), reference->vehicles_driven());
     EXPECT_EQ(parallel->channel().queries_lost(),
               reference->channel().queries_lost())
         << "workers " << workers;
@@ -118,27 +137,14 @@ TEST(ParallelIngest, ReportsBitIdenticalAcrossWorkerCountsLossyChannel) {
 }
 
 TEST(ParallelIngest, MatchesSerialDriveVehicleLoopWhenLossFree) {
-  // The loss-free channel consumes no randomness on either path, so the
-  // batch engine must land exactly the serial loop's bits and counters.
+  // The loss-free channel consumes no randomness on either path.
   traffic::MultiRsuWorkload workload(workload_config());
   const std::vector<RsuSite> sites = sites_for(workload);
-
-  auto serial = std::make_unique<VcpsSimulation>(sim_config({}), sites);
-  serial->begin_period();
-  common::VisitedMask visited(kRsus);
-  std::vector<std::uint32_t> rsus;
-  std::vector<std::size_t> positions;
-  for (std::uint64_t v = 0; v < kVehicles; ++v) {
-    workload.itinerary(v, visited, rsus);
-    positions.assign(rsus.begin(), rsus.end());
-    serial->drive_vehicle(positions);
-  }
-  serial->end_period();
-
+  const auto serial = run_serial({}, workload, sites);
   for (const unsigned workers : {1u, 4u}) {
-    const auto sharded = run_sharded({}, workload, sites, workers);
-    expect_reports_identical(*serial, *sharded);
-    EXPECT_EQ(sharded->vehicles_driven(), serial->vehicles_driven());
+    const auto parallel = run_parallel({}, workload, sites, workers);
+    expect_reports_identical(*serial, *parallel);
+    EXPECT_EQ(parallel->vehicles_driven(), serial->vehicles_driven());
   }
 }
 

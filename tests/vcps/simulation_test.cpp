@@ -133,6 +133,8 @@ TEST(VcpsSimulation, SameVehicleSameRsuIsIdempotentOnBits) {
   sim.drive_vehicle_as(v, only_x);
   EXPECT_EQ(sim.rsu(0).state().bits().count_ones(), ones_after_first);
   EXPECT_EQ(sim.rsu(0).state().counter(), 2u);
+  // Each drive takes the next vehicle number, explicit identity or not.
+  EXPECT_EQ(sim.vehicles_driven(), 2u);
 }
 
 TEST(VcpsSimulation, RequiresAtLeastOneSite) {

@@ -66,9 +66,9 @@ int main(int argc, char** argv) {
   parser.add_int("workers", 0,
                  "decode threads for --matrix (0 = one per core, 1 = serial; "
                  "any value gives bit-identical estimates)");
-  parser.add_string("decode", "auto",
-                    "decode path for --matrix: pairwise|blocked|pruned|auto "
-                    "(VLM_DECODE, when set, overrides this)");
+  parser.add_string("decode", "blocked",
+                    "decode path for --matrix: blocked|pruned (VLM_DECODE, "
+                    "when set, overrides this)");
   parser.add_int("prune-stride", 16,
                  "--decode pruned: sample every Nth 8-word block");
   parser.add_double("prune-z", 4.0,
@@ -220,17 +220,12 @@ int main(int argc, char** argv) {
       core::DecodeOptions decode_options;
       decode_options.workers = workers;
       const std::string decode_name = parser.get_string("decode");
-      if (decode_name == "pairwise") {
-        decode_options.mode = core::DecodeMode::kPairwise;
-      } else if (decode_name == "blocked") {
+      if (decode_name == "blocked") {
         decode_options.mode = core::DecodeMode::kBlocked;
       } else if (decode_name == "pruned") {
         decode_options.mode = core::DecodeMode::kPruned;
-      } else if (decode_name == "auto") {
-        decode_options.mode = core::DecodeMode::kAuto;
       } else {
-        std::fprintf(stderr,
-                     "error: --decode expects pairwise|blocked|pruned|auto\n");
+        std::fprintf(stderr, "error: --decode expects blocked|pruned\n");
         return 1;
       }
       decode_options.prune.sample_stride = static_cast<std::size_t>(

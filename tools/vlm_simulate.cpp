@@ -39,7 +39,7 @@ namespace {
 
 using namespace vlm;
 
-// Trajectory streams are sequential (one RNG stream), so for the sharded
+// Trajectory streams are sequential (one RNG stream), so for the parallel
 // ingest we materialize them once (flat index list + offsets) and hand
 // drive_vehicles an O(1) random-access itinerary provider. Ground-truth
 // volumes are counted during materialization.
@@ -223,7 +223,7 @@ int main(int argc, char** argv) {
       }
       sim = std::make_unique<vcps::VcpsSimulation>(config, sites);
       // Zipf itineraries are splittable (pure per-vehicle RNG), so the
-      // sharded engine generates them directly inside each worker.
+      // ingest engine generates them directly inside each worker.
       const std::size_t rsu_count = workload_config.rsu_count;
       const traffic::MultiRsuWorkload* workload = zipf_workload.get();
       itinerary = [workload, rsu_count](std::uint64_t v,
