@@ -34,6 +34,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -95,11 +96,8 @@ core::EstimateInterval naive_pair(const core::IntervalEstimator& interval,
                std::log(point.v_y)) /
               estimator.log_ratio_denominator(m_y);
   point.n_c_hat = std::max(0.0, point.raw);
-  core::EstimateInterval out =
-      interval.annotate(point, static_cast<double>(small.counter()),
-                        static_cast<double>(large.counter()));
-  out.degraded = out.degraded || point.saturated;
-  return out;
+  return interval.annotate(point, static_cast<double>(small.counter()),
+                           static_cast<double>(large.counter()));
 }
 
 bool same_cell(const core::EstimateInterval& a,
@@ -219,9 +217,14 @@ int main(int argc, char** argv) {
   double naive_best = 1e300, pairwise_best = 1e300, blocked_serial_best = 1e300,
          blocked_parallel_best = 1e300;
   std::vector<core::EstimateInterval> pairwise;
-  core::OdMatrix blocked_serial(k), blocked_parallel(k);
+  std::optional<core::OdMatrix> blocked_serial, blocked_parallel;
   core::DecodeStats blocked_serial_stats, blocked_parallel_stats;
   double naive_total = 0.0;
+  // One untimed decode first: the first estimate_od_matrix call of the
+  // process starts the worker pool and registers the decode metrics, a
+  // one-time cost no timed configuration should carry.
+  (void)decode(main_states, core::DecodeMode::kBlocked, workers, tile_words,
+               nullptr);
   for (int rep = 0; rep < repeat; ++rep) {
     // Seed path: serial loop, materializing decode per pair.
     const obs::Stopwatch t0;
@@ -253,10 +256,10 @@ int main(int argc, char** argv) {
   for (const core::EstimateInterval& cell : pairwise) {
     pairwise_total += cell.n_c_hat;
   }
-  const bool blocked_identical = cells_identical(pairwise, blocked_serial) &&
+  const bool blocked_identical = cells_identical(pairwise, *blocked_serial) &&
                                  naive_total == pairwise_total;
   const bool parallel_identical =
-      cells_identical(blocked_serial, blocked_parallel);
+      cells_identical(*blocked_serial, *blocked_parallel);
 
   // Optional sweep: every (K, tile_words) combination must reproduce the
   // per-pair cells bit for bit — the blocking is a traffic optimization,
@@ -354,7 +357,7 @@ int main(int argc, char** argv) {
   pruned_options.prune.min_volume = min_volume;
 
   double ring_blocked_best = 1e300, pruned_best = 1e300;
-  core::OdMatrix ring_blocked(pk), pruned(pk);
+  std::optional<core::OdMatrix> ring_blocked, pruned;
   core::DecodeStats ring_blocked_stats, pruned_stats;
   for (int rep = 0; rep < repeat; ++rep) {
     const obs::Stopwatch t4;
@@ -376,13 +379,13 @@ int main(int argc, char** argv) {
   bool pruned_survivors_identical = true;
   for (std::size_t a = 0; a < pk; ++a) {
     for (std::size_t b = a + 1; b < pk; ++b) {
-      const core::EstimateInterval& exact = ring_blocked.at(a, b);
-      if (!pruned.measured(a, b)) {
+      const core::EstimateInterval exact = ring_blocked->at(a, b);
+      if (!pruned->measured(a, b)) {
         pruned_no_dropped = pruned_no_dropped && exact.n_c_hat <= min_volume;
         continue;
       }
       pruned_survivors_identical =
-          pruned_survivors_identical && same_cell(pruned.at(a, b), exact);
+          pruned_survivors_identical && same_cell(pruned->at(a, b), exact);
     }
   }
   const double pruned_speedup =
@@ -396,7 +399,7 @@ int main(int argc, char** argv) {
   // point run to run.
   obs::health::HealthSummary health_summary =
       obs::health::assess_rsus(main_states, obs::health::HealthOptions{});
-  obs::health::assess_pairs(blocked_parallel, health_summary,
+  obs::health::assess_pairs(*blocked_parallel, health_summary,
                             blocked_parallel_stats.workers);
 
   char pruned_json[768];

@@ -8,8 +8,8 @@
 // kernel), so tens of MB per worker per period would be zeroed only to
 // be overwritten. UninitAllocator makes value-initialization a no-op,
 // turning resize() into a pure size bump (plus allocation when capacity
-// grows). The decode's matrix cells use it the same way: each cell's
-// page is first touched by the worker that writes it.
+// grows). The batch decode's per-pair counts use it the same way: the
+// sweep writes every slot exactly once.
 //
 // Only safe when every element in [0, size()) is written before it is
 // read — the call sites must guarantee that, exactly as they would for a

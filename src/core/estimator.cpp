@@ -36,7 +36,7 @@ PairEstimate PairEstimator::estimate(const RsuState& x,
 
 PairEstimate PairEstimator::from_counts(
     const common::JointZeroCounts& counts) const {
-  return eq5(counts, log_ratio_denominator(counts.size_large));
+  return from_counts_over(counts, log_ratio_denominator(counts.size_large));
 }
 
 PairEstimate PairEstimator::from_counts(const common::JointZeroCounts& counts,
@@ -44,11 +44,11 @@ PairEstimate PairEstimator::from_counts(const common::JointZeroCounts& counts,
   VLM_REQUIRE(factors.s == s_ && factors.m_x == counts.size_small &&
                   factors.m_y == counts.size_large,
               "size factors were built for another (s, m_x, m_y)");
-  return eq5(counts, factors.L);
+  return from_counts_over(counts, factors.L);
 }
 
-PairEstimate PairEstimator::eq5(const common::JointZeroCounts& counts,
-                                double denominator) const {
+PairEstimate PairEstimator::from_counts_over(
+    const common::JointZeroCounts& counts, double denominator) const {
   const std::size_t m_x = counts.size_small;
   const std::size_t m_y = counts.size_large;
   check_larger_size(m_y);
@@ -57,23 +57,13 @@ PairEstimate PairEstimator::eq5(const common::JointZeroCounts& counts,
   out.m_x = m_x;
   out.m_y = m_y;
   out.words_scanned = counts.words_scanned;
-
-  // Floor zero counts at half a bit so a fully saturated array yields a
-  // finite (if unreliable) estimate instead of -inf logs; flag it.
-  auto fraction = [&](std::size_t zeros, std::size_t size, bool& saturated) {
-    if (zeros == 0) {
-      saturated = true;
-      return 0.5 / static_cast<double>(size);
-    }
-    return static_cast<double>(zeros) / static_cast<double>(size);
-  };
-  out.v_x = fraction(counts.zeros_small, m_x, out.saturated);
-  out.v_y = fraction(counts.zeros_large, m_y, out.saturated);
-  out.v_c = fraction(counts.zeros_or, m_y, out.saturated);
-
-  const double numerator =
-      std::log(out.v_c) - std::log(out.v_x) - std::log(out.v_y);
-  out.raw = numerator / denominator;
+  out.v_x = zero_fraction(counts.zeros_small, m_x);
+  out.v_y = zero_fraction(counts.zeros_large, m_y);
+  out.v_c = zero_fraction(counts.zeros_or, m_y);
+  out.saturated = counts.zeros_small == 0 || counts.zeros_large == 0 ||
+                  counts.zeros_or == 0;
+  out.raw = eq5(std::log(out.v_c), std::log(out.v_x), std::log(out.v_y),
+                denominator);
   out.n_c_hat = std::max(0.0, out.raw);
   return out;
 }

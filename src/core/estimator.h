@@ -51,10 +51,9 @@ class PairEstimator {
   PairEstimate estimate(const RsuState& x, const RsuState& y) const;
 
   // Eq. 5 on already-measured zero counts. `estimate` above is exactly
-  // joint_zero_counts + this; the cache-blocked batch decode measures the
-  // counts for every pair first and then maps them through here, which is
-  // what makes the two decode paths bit-identical — the floating-point
-  // math is this one function either way.
+  // joint_zero_counts + this. The arithmetic is zero_fraction and eq5
+  // below, which the K-RSU decode calls with its per-RSU logs, so a
+  // decoded matrix cell and the per-pair estimate have the same bits.
   PairEstimate from_counts(const common::JointZeroCounts& counts) const;
 
   // Same, reading the Eq. 5 denominator off size factors already built
@@ -68,10 +67,28 @@ class PairEstimator {
   // Positive for every s >= 2, m_y > 1.
   double log_ratio_denominator(std::size_t m_y) const;
 
+  // An array's zero fraction as Eq. 5 reads it: zeros / size, floored at
+  // half a bit when no zero is left (the array is saturated, the MLE is
+  // undefined, and the floor keeps its logs finite).
+  static double zero_fraction(std::size_t zeros, std::size_t size) {
+    return zeros == 0 ? 0.5 / static_cast<double>(size)
+                      : static_cast<double>(zeros) / static_cast<double>(size);
+  }
+
+  // Eq. 5 itself: the unclamped MLE from ln V_c and the two per-array
+  // logs ln V_x and ln V_y, over the size pair's denominator. Each
+  // per-array log depends on one array only, so the K-RSU decode takes
+  // it once per RSU; the per-pair path takes the same logs of the same
+  // fractions, so both paths give the same bits.
+  static double eq5(double log_v_c, double log_v_x, double log_v_y,
+                    double denominator) {
+    return (log_v_c - log_v_x - log_v_y) / denominator;
+  }
+
  private:
   void check_larger_size(std::size_t m_y) const;
-  PairEstimate eq5(const common::JointZeroCounts& counts,
-                   double denominator) const;
+  PairEstimate from_counts_over(const common::JointZeroCounts& counts,
+                                double denominator) const;
 
   std::uint32_t s_;
 };

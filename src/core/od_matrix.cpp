@@ -8,6 +8,7 @@
 #include "common/kernels/kernels.h"
 #include "common/parallel.h"
 #include "common/require.h"
+#include "common/uninit.h"
 #include "core/estimator.h"
 #include "obs/clock.h"
 #include "obs/metrics.h"
@@ -37,7 +38,7 @@ struct DecodeMetrics {
   obs::Histogram& total;       // whole estimate_od_matrix call
   obs::Histogram& prune;       // pruned path: the sampled-union skip stage
   obs::Histogram& tile_sweep;  // blocked path: the batched zero-count sweep
-  obs::Histogram& estimate;    // Eq. 5 / interval math over the pair list
+  obs::Histogram& estimate;    // per-RSU table + tally over the counts
 };
 
 DecodeMetrics& decode_metrics() {
@@ -142,128 +143,171 @@ bool prune_pair(const RsuState& first, const RsuState& second,
   return n_c_ub <= prune.min_volume;
 }
 
-// The pair (a, b), a < b, at index t of the row-major upper triangle of a
-// K-RSU matrix: the inverse of OdMatrix::triangle_index. O(K), so a
-// slice converts only its first index and then walks forward.
-std::pair<std::size_t, std::size_t> triangle_pair(std::size_t k,
-                                                  std::size_t t) {
+}  // namespace
+
+OdMatrix::OdMatrix(std::span<const RsuState> states,
+                   const IntervalEstimator& estimator,
+                   common::BatchZeroCounts counts)
+    : k_(states.size()),
+      measured_pairs_(k_ * (k_ - 1) / 2),
+      estimator_(estimator),
+      counts_(std::move(counts)) {
+  const std::uint32_t s = estimator.s();
+  // The size-only model terms, once per distinct (smaller, larger)
+  // array-size pair — at most ~log²(m) of them — instead of once per
+  // pair.
+  std::vector<std::size_t> sizes = counts_.bits;
+  std::sort(sizes.begin(), sizes.end());
+  sizes.erase(std::unique(sizes.begin(), sizes.end()), sizes.end());
+  size_count_ = sizes.size();
+  // Eq. 5 needs s < m_y on every pair. The smallest m_y of any pair is
+  // the smallest size when two arrays share it, the next size otherwise
+  // (the prune keeps every pair this check rejects).
+  const bool smallest_shared =
+      std::count(counts_.bits.begin(), counts_.bits.end(), sizes[0]) >= 2;
+  (void)PairEstimator(s).log_ratio_denominator(smallest_shared ? sizes[0]
+                                                               : sizes[1]);
+  factors_.reserve(size_count_ * size_count_);
+  for (const std::size_t m_small : sizes) {
+    for (const std::size_t m_large : sizes) {
+      factors_.emplace_back(s, m_small, m_large);
+    }
+  }
+  rsus_.reserve(k_);
+  for (std::size_t i = 0; i < k_; ++i) {
+    RsuTerms terms;
+    terms.log_v = std::log(
+        PairEstimator::zero_fraction(counts_.zeros[i], counts_.bits[i]));
+    terms.counter = static_cast<double>(states[i].counter());
+    terms.size_rank = static_cast<std::size_t>(
+        std::lower_bound(sizes.begin(), sizes.end(), counts_.bits[i]) -
+        sizes.begin());
+    rsus_.push_back(terms);
+  }
+}
+
+void OdMatrix::index_survivors(
+    std::span<const std::pair<std::uint32_t, std::uint32_t>> survivors) {
+  measured_pairs_ = survivors.size();
+  const std::size_t total_pairs = k_ * (k_ - 1) / 2;
+  if (survivors.size() * 4 >= total_pairs) {
+    // Dense fallback: at this density a lookup is index arithmetic
+    // instead of a search, for at most 3x the bytes of the CSR form.
+    // Move the survivor counts to their triangle slots and flag them.
+    common::UninitVector<std::size_t> ones;
+    ones.assign(total_pairs, 0);
+    measured_.assign(total_pairs, 0);
+    for (std::size_t p = 0; p < survivors.size(); ++p) {
+      const std::size_t t =
+          counts_.slot(survivors[p].first, survivors[p].second);
+      ones[t] = counts_.ones_or[p];
+      measured_[t] = 1;
+    }
+    counts_.ones_or = std::move(ones);
+    return;
+  }
+  // CSR over the survivor list (already sorted by (row, col) — the
+  // prune stage compacts in pair order). Survivor slot p keeps its count
+  // in ones_or[p], so the sweep's pair order is the storage order.
+  row_offsets_.assign(k_ + 1, 0);
+  cols_.reserve(survivors.size());
+  std::uint32_t row = 0;
+  for (const auto& [a, b] : survivors) {
+    VLM_REQUIRE(a < b && b < k_ && a >= row,
+                "survivor list must be sorted upper-triangle pairs");
+    while (row < a) {
+      row_offsets_[++row] = static_cast<std::uint32_t>(cols_.size());
+    }
+    cols_.push_back(b);
+  }
+  while (row < k_) {
+    row_offsets_[++row] = static_cast<std::uint32_t>(cols_.size());
+  }
+}
+
+std::pair<std::size_t, std::size_t> OdMatrix::triangle_pair(
+    std::size_t t) const {
   std::size_t a = 0;
-  while (t >= k - 1 - a) {
-    t -= k - 1 - a;
+  while (t >= k_ - 1 - a) {
+    t -= k_ - 1 - a;
     ++a;
   }
   return {a, a + 1 + t};
 }
 
-}  // namespace
-
-OdMatrix::OdMatrix(std::size_t rsu_count, Unfilled)
-    : k_(rsu_count), cells_(rsu_count * (rsu_count - 1) / 2) {
-  VLM_REQUIRE(rsu_count >= 2, "an OD matrix needs at least two RSUs");
-  measured_pairs_ = cells_.size();
+std::size_t OdMatrix::row_of(std::size_t p) const {
+  // The last row starting at or before p; an empty row shares its start
+  // with the next one.
+  return static_cast<std::size_t>(std::upper_bound(row_offsets_.begin(),
+                                                   row_offsets_.end(), p) -
+                                  row_offsets_.begin()) -
+         1;
 }
 
-OdMatrix::OdMatrix(std::size_t rsu_count) : OdMatrix(rsu_count, Unfilled{}) {
-  std::fill(cells_.begin(), cells_.end(), EstimateInterval{});
-}
-
-OdMatrix OdMatrix::for_survivors(
-    std::size_t rsu_count,
-    std::span<const std::pair<std::uint32_t, std::uint32_t>> survivors) {
-  OdMatrix matrix(rsu_count, Unfilled{});
-  matrix.measured_pairs_ = survivors.size();
-  const std::size_t total_pairs = matrix.cells_.size();
-  if (survivors.size() * 4 >= total_pairs) {
-    // Dense fallback: at this density the CSR index costs more than the
-    // zero-filled cells it would save. Keep the triangle and mark the
-    // measured cells.
-    std::fill(matrix.cells_.begin(), matrix.cells_.end(), EstimateInterval{});
-    matrix.measured_.assign(total_pairs, 0);
-    for (const auto& [a, b] : survivors) {
-      matrix.measured_[matrix.triangle_index(a, b)] = 1;
-    }
-    return matrix;
-  }
-  // CSR over the survivor list (already sorted by (row, col) — the
-  // prune stage compacts in pair order). Survivor slot p backs cells_[p],
-  // so the exact sweep's pair order and the cell order coincide.
-  matrix.cells_.assign(survivors.size(), EstimateInterval{});
-  matrix.cells_.shrink_to_fit();
-  matrix.row_offsets_.assign(rsu_count + 1, 0);
-  matrix.cols_.reserve(survivors.size());
-  std::uint32_t row = 0;
-  for (const auto& [a, b] : survivors) {
-    VLM_REQUIRE(a < b && b < rsu_count && a >= row,
-                "survivor list must be sorted upper-triangle pairs");
-    while (row < a) {
-      matrix.row_offsets_[++row] =
-          static_cast<std::uint32_t>(matrix.cols_.size());
-    }
-    matrix.cols_.push_back(b);
-  }
-  while (row < rsu_count) {
-    matrix.row_offsets_[++row] =
-        static_cast<std::uint32_t>(matrix.cols_.size());
-  }
-  return matrix;
-}
-
-std::size_t OdMatrix::sparse_slot(std::size_t lo, std::size_t hi) const {
-  const auto begin = cols_.begin() + row_offsets_[lo];
-  const auto end = cols_.begin() + row_offsets_[lo + 1];
-  const auto it = std::lower_bound(begin, end, static_cast<std::uint32_t>(hi));
-  if (it == end || *it != hi) return static_cast<std::size_t>(-1);
-  return static_cast<std::size_t>(it - cols_.begin());
-}
-
-EstimateInterval& OdMatrix::cell(std::size_t a, std::size_t b) {
+std::size_t OdMatrix::slot_of(std::size_t lo, std::size_t hi) const {
   if (sparse()) {
-    const std::size_t lo = a < b ? a : b;
-    const std::size_t hi = a < b ? b : a;
-    const std::size_t slot = sparse_slot(lo, hi);
-    VLM_REQUIRE(slot != static_cast<std::size_t>(-1),
-                "cannot write a pruned-away OD matrix cell");
-    return cells_[slot];
+    const auto begin = cols_.begin() + row_offsets_[lo];
+    const auto end = cols_.begin() + row_offsets_[lo + 1];
+    const auto it =
+        std::lower_bound(begin, end, static_cast<std::uint32_t>(hi));
+    if (it == end || *it != hi) return kNotMeasured;
+    return static_cast<std::size_t>(it - cols_.begin());
   }
-  return const_cast<EstimateInterval&>(
-      static_cast<const OdMatrix*>(this)->at(a, b));
+  const std::size_t t = counts_.slot(lo, hi);
+  return measured_.empty() || measured_[t] != 0 ? t : kNotMeasured;
 }
 
-const EstimateInterval& OdMatrix::at(std::size_t a, std::size_t b) const {
+OdMatrix::Cell OdMatrix::derive(std::size_t a, std::size_t b,
+                                std::size_t ones) const {
+  const auto [small, large] = operands(a, b);
+  const std::size_t m_y = counts_.bits[large];
+  const std::size_t zeros_or = m_y - ones;
+  Cell cell;
+  cell.a = a;
+  cell.b = b;
+  cell.n_c_hat = std::max(
+      0.0, PairEstimator::eq5(
+               std::log(PairEstimator::zero_fraction(zeros_or, m_y)),
+               rsus_[small].log_v, rsus_[large].log_v,
+               factors(small, large).L));
+  // An array with no zero bit leaves none in the OR either, so the OR's
+  // count alone tells whether any of Eq. 5's three fractions hit the
+  // floor.
+  cell.saturated = zeros_or == 0;
+  cell.degraded = IntervalEstimator::degraded(
+      cell.n_c_hat, cell.saturated, rsus_[small].counter,
+      rsus_[large].counter);
+  return cell;
+}
+
+EstimateInterval OdMatrix::interval(const Cell& cell) const {
+  const auto [small, large] = operands(cell.a, cell.b);
+  return estimator_.annotate(cell.n_c_hat, cell.saturated,
+                             rsus_[small].counter, rsus_[large].counter,
+                             factors(small, large));
+}
+
+EstimateInterval OdMatrix::at(std::size_t a, std::size_t b) const {
   VLM_REQUIRE(a < k_ && b < k_ && a != b,
               "OD matrix lookup needs two distinct RSU positions");
-  const std::size_t lo = a < b ? a : b;
-  const std::size_t hi = a < b ? b : a;
-  if (sparse()) {
-    const std::size_t slot = sparse_slot(lo, hi);
-    if (slot == static_cast<std::size_t>(-1)) {
-      // Pruned away: the estimate is zero by construction. A shared
-      // default-constructed interval (n_c_hat = 0, zero-width bounds) is
-      // exactly that reading.
-      static const EstimateInterval kPrunedZero{};
-      return kPrunedZero;
-    }
-    return cells_[slot];
-  }
-  return cells_[triangle_index(lo, hi)];
+  const std::size_t lo = std::min(a, b);
+  const std::size_t hi = std::max(a, b);
+  const std::size_t slot = slot_of(lo, hi);
+  // Pruned away: the estimate is zero by construction, and the all-zero
+  // interval (n_c_hat = 0, zero-width bounds) is exactly that reading.
+  if (slot == kNotMeasured) return EstimateInterval{};
+  return interval(derive(lo, hi, counts_.ones_or[slot]));
 }
 
 bool OdMatrix::measured(std::size_t a, std::size_t b) const {
   VLM_REQUIRE(a < k_ && b < k_ && a != b,
               "OD matrix lookup needs two distinct RSU positions");
-  const std::size_t lo = a < b ? a : b;
-  const std::size_t hi = a < b ? b : a;
-  if (sparse()) return sparse_slot(lo, hi) != static_cast<std::size_t>(-1);
-  if (!measured_.empty()) return measured_[triangle_index(lo, hi)] != 0;
-  return true;
+  return slot_of(std::min(a, b), std::max(a, b)) != kNotMeasured;
 }
 
 double OdMatrix::total_estimated_common() const {
-  // Sparse storage holds exactly the survivors, the dense layouts hold
-  // zeros in unmeasured cells — either way the sum over cells_ is the
-  // matrix total.
   double total = 0.0;
-  for (const EstimateInterval& e : cells_) total += e.n_c_hat;
+  for_each_measured([&](const Cell& cell) { total += cell.n_c_hat; });
   return total;
 }
 
@@ -319,40 +363,19 @@ OdMatrix estimate_od_matrix(std::span<const RsuState> states, std::uint32_t s,
     prune_seconds = prune_span.finish();
   }
 
-  OdMatrix matrix = mode == DecodeMode::kPruned
-                        ? OdMatrix::for_survivors(k, pairs)
-                        : OdMatrix(k, OdMatrix::Unfilled{});
-  const std::size_t pairs_decoded =
-      mode == DecodeMode::kPruned ? pairs.size() : matrix.cells_.size();
-
-  // Each pair's cell is written by exactly one slice, and each slice
-  // tallies the words it scanned and its saturated pairs (locally, then
-  // stored once): integer sums, so the totals are the same for every
-  // worker count.
-  struct SliceTally {
-    std::size_t words = 0;
-    std::size_t saturated = 0;
-    void add(const PairEstimate& point) {
-      words += point.words_scanned;
-      saturated += point.saturated ? 1 : 0;
-    }
-  };
-  std::vector<SliceTally> tallies(used);
-  common::BatchDecodeStats batch_stats;
-  double sweep_seconds = 0.0;
-  // Measure the zero counts with the cache-blocked batch sweep, then map
-  // them through the Eq. 5 / interval math of the per-pair estimator.
-  // Both stages are deterministic, so so is the composition — and
-  // because the batch sweep's integer partials are exact for any pair
-  // subset, a survivor's counts (and therefore its estimate) are
-  // bit-identical to the unpruned blocked decode.
+  // Measure the zero counts with the cache-blocked batch sweep; the
+  // matrix derives every cell from them. Because the batch sweep's
+  // integer partials are exact for any pair subset, a survivor's counts
+  // (and therefore its cell) are bit-identical to the unpruned decode.
   std::vector<const common::BitArray*> arrays;
   arrays.reserve(k);
   for (const RsuState& state : states) arrays.push_back(&state.bits());
   common::BatchDecodeOptions batch_options;
   batch_options.tile_words = options.tile_words;
   batch_options.workers = used;
+  common::BatchDecodeStats batch_stats;
   common::BatchZeroCounts counts;
+  double sweep_seconds = 0.0;
   {
     obs::Span sweep_span(metrics.tile_sweep);
     counts = mode == DecodeMode::kBlocked
@@ -362,68 +385,35 @@ OdMatrix estimate_od_matrix(std::span<const RsuState> states, std::uint32_t s,
                                                    batch_options, &batch_stats);
     sweep_seconds = sweep_span.finish();
   }
+
   obs::Span estimate_span(metrics.estimate);
-  // The size-only model terms, once per distinct (smaller, larger)
-  // array-size pair — at most ~log²(m) of them — instead of once per
-  // pair. sizes[rank[i]] is state i's array size.
-  std::vector<std::size_t> sizes;
-  sizes.reserve(k);
-  for (const RsuState& state : states) sizes.push_back(state.array_size());
-  std::sort(sizes.begin(), sizes.end());
-  sizes.erase(std::unique(sizes.begin(), sizes.end()), sizes.end());
-  std::vector<std::size_t> rank(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    rank[i] = static_cast<std::size_t>(
-        std::lower_bound(sizes.begin(), sizes.end(), states[i].array_size()) -
-        sizes.begin());
-  }
-  std::vector<SizeFactors> factors;
-  factors.reserve(sizes.size() * sizes.size());
-  for (const std::size_t m_small : sizes) {
-    for (const std::size_t m_large : sizes) {
-      factors.emplace_back(s, m_small, m_large);
-    }
-  }
-  const auto estimate_counts = [&](std::size_t a, std::size_t b,
-                                   const common::JointZeroCounts& pair,
-                                   PairEstimate& point) {
-    const std::size_t lo = std::min(rank[a], rank[b]);
-    const std::size_t hi = std::max(rank[a], rank[b]);
-    return estimator.from_counts(pair, states[a], states[b],
-                                 factors[lo * sizes.size() + hi], &point);
+  OdMatrix matrix(states, estimator, std::move(counts));
+  if (mode == DecodeMode::kPruned) matrix.index_survivors(pairs);
+  const std::size_t pairs_decoded = matrix.measured_pairs();
+  // The per-pair accounting, integer sums over the counts: each slice
+  // tallies its storage slots locally and stores once, so the totals
+  // are the same for every worker count.
+  struct SliceTally {
+    std::size_t words = 0;
+    std::size_t saturated = 0;
   };
-  if (mode == DecodeMode::kBlocked) {
-    // Slices of the row-major triangle index: each slice turns its first
-    // index into (a, b) once, then walks forward writing its cells in
-    // storage order.
-    common::parallel_slices(
-        pairs_decoded, used,
-        [&](unsigned slice, std::size_t begin, std::size_t end) {
-          SliceTally tally;
-          auto [a, b] = triangle_pair(k, begin);
-          for (std::size_t t = begin; t < end; ++t) {
-            PairEstimate point;
-            matrix.cells_[t] = estimate_counts(a, b, counts.at(a, b), point);
-            tally.add(point);
-            if (++b == k) b = ++a + 1;
-          }
-          tallies[slice] = tally;
-        });
-  } else {
-    common::parallel_slices(
-        pairs.size(), used,
-        [&](unsigned slice, std::size_t begin, std::size_t end) {
-          SliceTally tally;
-          for (std::size_t p = begin; p < end; ++p) {
-            const auto [a, b] = pairs[p];
-            PairEstimate point;
-            matrix.cell(a, b) =
-                estimate_counts(a, b, counts.counts(a, b, p), point);
-            tally.add(point);
-          }
-          tallies[slice] = tally;
-        });
-  }
+  std::vector<SliceTally> tallies(used);
+  const std::vector<std::size_t>& bits = matrix.counts_.bits;
+  const common::UninitVector<std::size_t>& ones_or = matrix.counts_.ones_or;
+  common::parallel_slices(
+      matrix.stored_cells(), used,
+      [&](unsigned slice, std::size_t begin, std::size_t end) {
+        SliceTally tally;
+        matrix.for_each_slot(
+            begin, end, [&](std::size_t a, std::size_t b, std::size_t slot) {
+              const auto [small, large] = matrix.operands(a, b);
+              tally.words += common::joint_words_scanned(bits[small],
+                                                         bits[large]);
+              // Saturated exactly when derive() says so: no OR zero.
+              if (ones_or[slot] == bits[large]) ++tally.saturated;
+            });
+        tallies[slice] = tally;
+      });
   const double estimate_seconds = estimate_span.finish();
 
   // Registry and struct are fed from the same values: DecodeStats is the

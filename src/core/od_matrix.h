@@ -1,33 +1,32 @@
 // Full origin-destination matrix estimation over a deployment of K RSUs.
 //
 // The paper estimates one pair at a time; a transportation study wants
-// the whole K×K point-to-point matrix. Two decode paths produce it:
+// the whole K×K point-to-point matrix. The decode measures each pair's
+// one per-pair quantity, and the matrix derives every cell from it:
 //
 //   - blocked (the default): the GEMM-style cache-blocked batch decode —
 //     the word range is tiled, and each cache-hot tile is combined with
 //     every partner before moving on, cutting DRAM traffic from the
 //     per-pair kernel's O(K² m_max / 64) words to O(K m_max / 64) per
-//     tile sweep. The arithmetic is the same exact integer popcounts,
-//     and the Eq. 5 / interval math reads the same size-only terms (one
-//     SizeFactors per distinct size pair), so every cell is
-//     bit-identical to the per-pair IntervalEstimator::estimate for
-//     every worker count and tile size (tests and a differential fuzz
-//     suite assert this). The estimate is a second parallel pass over
-//     slices of the row-major triangle; it writes every cell exactly
-//     once, so the cells are not zero-filled first.
+//     tile sweep. Its output is one 8-byte OR-ones count per pair, the
+//     exact integer popcount the per-pair kernel measures.
 //   - pruned (opt-in): a cheap strided-sample union estimate per pair
 //     first; pairs whose upper-bounded overlap stays at or below
 //     PruneOptions::min_volume are skipped, and the exact blocked sweep
-//     runs only on the survivors. Survivor estimates are bit-identical
-//     to the blocked path (same integer counts, same Eq. 5 float path);
-//     skipped pairs read as an all-zero interval. At city-scale K most
-//     pairs share no traffic, so this turns the O(K²) sweep into
-//     O(K² / stride) sampling plus O(survivors) exact work.
+//     runs only on the survivors, with the same counts. Skipped pairs
+//     read as an all-zero interval. At city-scale K most pairs share no
+//     traffic, so this turns the O(K²) sweep into O(K² / stride)
+//     sampling plus O(survivors) exact work.
 //
-// Each pair writes only its own cell, and prune decisions are computed
-// independently per pair, so the parallel result is bit-identical to the
-// serial one for any worker count on every path (tests assert this on a
-// 24-RSU workload).
+// Everything else in a cell depends on one RSU at a time (array size,
+// zero count, counter, ln V) or on one size pair (SizeFactors), so the
+// matrix keeps a per-RSU table and one SizeFactors per size pair next
+// to the counts, and derives a cell when it is read: Eq. 5 for the point
+// estimate and the degraded flag, and the variance model only when the
+// interval is asked for. Every cell is bit-identical to the per-pair
+// IntervalEstimator::estimate for every worker count and tile size
+// (tests and a differential fuzz suite assert this), and the matrix
+// copies what it reads, so it outlives the states it was decoded from.
 #pragma once
 
 #include <cstddef>
@@ -36,7 +35,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/uninit.h"
+#include "common/bit_array.h"
 #include "core/interval.h"
 #include "core/rsu_state.h"
 
@@ -105,7 +104,10 @@ struct DecodeStats {
   std::size_t sample_stride = 0;
   double prune_seconds = 0.0;
   double sweep_seconds = 0.0;     // blocked + pruned: the exact tile sweep
-  double estimate_seconds = 0.0;  // Eq. 5 / interval math
+  // The per-RSU table and size-pair factors, and the tally of
+  // words_scanned and pairs_saturated over the counts. Cells are derived
+  // when read, so no Eq. 5 or interval math runs here.
+  double estimate_seconds = 0.0;
   // Matrix storage the pruned path chose ("dense" or "sparse") — a
   // static string, never freed. Always "dense" for unpruned decodes.
   const char* storage = "dense";
@@ -141,15 +143,14 @@ struct DecodeOptions {
 
 class OdMatrix {
  public:
-  explicit OdMatrix(std::size_t rsu_count);
-
   std::size_t rsu_count() const { return k_; }
 
-  // Point estimate and interval for the pair. Dense matrices answer
-  // every pair; a pruned decode's matrix answers skipped pairs with a
-  // shared all-zero interval (their overlap was statistically
-  // indistinguishable from zero at the configured threshold).
-  const EstimateInterval& at(std::size_t a, std::size_t b) const;
+  // Point estimate and interval for the pair, derived on read (Eq. 5
+  // and the variance model). Dense matrices answer every pair; a pruned
+  // decode's matrix answers skipped pairs with the all-zero interval
+  // (their overlap was statistically indistinguishable from zero at the
+  // configured threshold).
+  EstimateInterval at(std::size_t a, std::size_t b) const;
 
   // Whether (a, b) was actually measured by the exact sweep — always
   // true for unpruned decodes, false exactly for the pairs the prune
@@ -163,62 +164,127 @@ class OdMatrix {
   // below the density threshold) instead of the dense upper triangle.
   bool sparse() const { return !row_offsets_.empty(); }
 
-  // Entries in cell storage: the whole triangle when dense, one per
-  // survivor when sparse.
-  std::size_t stored_cells() const { return cells_.size(); }
+  // Entries in cell storage (one 8-byte count each): the whole triangle
+  // when dense, one per survivor when sparse.
+  std::size_t stored_cells() const { return counts_.ones_or.size(); }
+
+  // One measured cell as for_each_measured hands it over: the pair
+  // (a < b) and what Eq. 5 alone gives — the point estimate, whether the
+  // MLE hit its saturation floor, and IntervalEstimator::degraded.
+  struct Cell {
+    std::size_t a = 0;
+    std::size_t b = 0;
+    double n_c_hat = 0.0;
+    bool saturated = false;
+    bool degraded = false;
+  };
+
+  // The cell's interval: runs the variance model. Equals at(cell.a,
+  // cell.b) bit for bit.
+  EstimateInterval interval(const Cell& cell) const;
 
   // Calls visit(cell) for every measured pair's cell among storage
   // entries [begin, end), in row-major pair order — O(measured pairs) on
-  // sparse storage, no per-cell lookup. Disjoint ranges can be walked
-  // concurrently.
+  // sparse storage, no per-cell lookup. Each visit costs Eq. 5 only; a
+  // visitor that needs σ calls interval(cell). Disjoint ranges can be
+  // walked concurrently.
   template <typename Visit>
   void for_each_measured(std::size_t begin, std::size_t end,
                          Visit&& visit) const {
-    // Sparse storage holds exactly the measured cells; the dense layouts
-    // hold the whole triangle, flagged when pruned.
-    for (std::size_t i = begin; i < end; ++i) {
-      if (measured_.empty() || measured_[i] != 0) visit(cells_[i]);
-    }
+    for_each_slot(begin, end,
+                  [&](std::size_t a, std::size_t b, std::size_t slot) {
+                    visit(derive(a, b, counts_.ones_or[slot]));
+                  });
+  }
+  template <typename Visit>
+  void for_each_measured(Visit&& visit) const {
+    for_each_measured(0, stored_cells(), visit);
   }
 
-  // Sum of all pairwise point estimates (an aggregate mobility index).
-  // Skipped pairs contribute their pruned-to-zero estimate.
+  // Sum of all pairwise point estimates (an aggregate mobility index),
+  // summed in storage order. Skipped pairs contribute nothing.
   double total_estimated_common() const;
 
  private:
   friend OdMatrix estimate_od_matrix(std::span<const RsuState>, std::uint32_t,
                                      double, const DecodeOptions&,
                                      DecodeStats*);
-  EstimateInterval& cell(std::size_t a, std::size_t b);
 
-  // Dense storage the blocked decode fills: every cell is written exactly
-  // once before anyone reads it, so the cells are left unfilled and each
-  // page is first touched by the worker that writes it.
-  struct Unfilled {};
-  OdMatrix(std::size_t rsu_count, Unfilled);
+  // The per-RSU inputs of a cell besides the counts' sizes and zeros.
+  struct RsuTerms {
+    double log_v = 0.0;    // ln V of the array (Eq. 5's per-array log)
+    double counter = 0.0;  // n, as the variance model reads it
+    std::size_t size_rank = 0;  // rank of the array size among the sizes
+  };
 
-  // Storage for a pruned decode: CSR over the survivor list (must be
-  // sorted ascending by (row, col), row < col) when survivors are sparse
-  // enough to pay for the index, the dense triangle plus per-cell
-  // measured flags otherwise.
-  static OdMatrix for_survivors(
-      std::size_t rsu_count,
+  // Takes the sweep's counts (all-pairs slots) and builds the per-RSU
+  // table and the size-pair factors from `states`.
+  OdMatrix(std::span<const RsuState> states,
+           const IntervalEstimator& estimator, common::BatchZeroCounts counts);
+
+  // Re-indexes the counts of a pair-list sweep over `survivors` (sorted
+  // ascending by (row, col), row < col; survivor p in slot p): CSR over
+  // the survivors when they are sparse enough to pay for the index, the
+  // dense triangle plus per-cell measured flags otherwise.
+  void index_survivors(
       std::span<const std::pair<std::uint32_t, std::uint32_t>> survivors);
 
-  std::size_t triangle_index(std::size_t lo, std::size_t hi) const {
-    // Row-major upper triangle: offset(lo) = lo*k - lo(lo+1)/2 relative
-    // to column lo+1.
-    return lo * k_ - lo * (lo + 1) / 2 + (hi - lo - 1);
+  // The operand order of pair (a, b), a < b: the smaller array first,
+  // the lower position on size ties (as common::joint_zero_counts).
+  std::pair<std::size_t, std::size_t> operands(std::size_t a,
+                                               std::size_t b) const {
+    return counts_.bits[a] <= counts_.bits[b] ? std::pair{a, b}
+                                              : std::pair{b, a};
   }
-  // Survivor-slot lookup in CSR storage; npos when (lo, hi) was pruned.
-  std::size_t sparse_slot(std::size_t lo, std::size_t hi) const;
+  const SizeFactors& factors(std::size_t small, std::size_t large) const {
+    return factors_[rsus_[small].size_rank * size_count_ +
+                    rsus_[large].size_rank];
+  }
+  // Eq. 5 for pair (a, b), a < b, whose OR has `ones` one bits.
+  Cell derive(std::size_t a, std::size_t b, std::size_t ones) const;
+
+  // Calls fn(a, b, slot) for every measured storage slot in [begin, end),
+  // in storage (row-major pair) order.
+  template <typename Fn>
+  void for_each_slot(std::size_t begin, std::size_t end, Fn&& fn) const {
+    if (begin >= end) return;
+    if (sparse()) {
+      std::size_t a = row_of(begin);
+      for (std::size_t p = begin; p < end; ++p) {
+        while (p >= row_offsets_[a + 1]) ++a;
+        fn(a, std::size_t{cols_[p]}, p);
+      }
+      return;
+    }
+    auto [a, b] = triangle_pair(begin);
+    for (std::size_t t = begin; t < end; ++t) {
+      if (measured_.empty() || measured_[t] != 0) fn(a, b, t);
+      if (++b == k_) b = ++a + 1;
+    }
+  }
+
+  // The pair (a, b), a < b, at row-major triangle index t: the inverse
+  // of BatchZeroCounts::slot. O(K), so a walk converts only its first
+  // index.
+  std::pair<std::size_t, std::size_t> triangle_pair(std::size_t t) const;
+  // CSR row holding survivor slot p.
+  std::size_t row_of(std::size_t p) const;
+  // Storage slot of (lo, hi), or kNotMeasured when the prune skipped it.
+  static constexpr auto kNotMeasured = static_cast<std::size_t>(-1);
+  std::size_t slot_of(std::size_t lo, std::size_t hi) const;
 
   std::size_t k_;
-  std::size_t measured_pairs_ = 0;
-  // Dense: the full upper triangle, row-major. Sparse: one entry per
-  // survivor, in survivor order. Zero-filled except on the blocked path
-  // (see Unfilled).
-  common::UninitVector<EstimateInterval> cells_;
+  std::size_t measured_pairs_;
+  IntervalEstimator estimator_;
+  // Per-array sizes and zero counts, and one OR-ones count per storage
+  // slot: dense, the full upper triangle in row-major order; sparse, one
+  // per survivor in survivor order.
+  common::BatchZeroCounts counts_;
+  std::vector<RsuTerms> rsus_;
+  // One SizeFactors per (smaller, larger) distinct array size, at
+  // rank_small * size_count_ + rank_large.
+  std::size_t size_count_ = 0;
+  std::vector<SizeFactors> factors_;
   // CSR index (sparse storage only): row r's survivor columns are
   // cols_[row_offsets_[r] .. row_offsets_[r + 1]).
   std::vector<std::uint32_t> row_offsets_;

@@ -146,15 +146,18 @@ void assess_pairs(const core::OdMatrix& matrix, HealthSummary& summary,
     const std::size_t begin = slice * kCellsPerSlice;
     matrix.for_each_measured(
         begin, std::min(cells, begin + kCellsPerSlice),
-        [&](const core::EstimateInterval& cell) {
-          // A non-degraded cell's stddev is the occupancy-exact model
-          // evaluated at n̂_c itself (no clamping), so the ratio is
-          // exactly the interval's own relative error.
-          if (cell.degraded || !(cell.n_c_hat > 0.0)) {
+        [&](const core::OdMatrix::Cell& cell) {
+          // The degraded flag needs Eq. 5 only, so the variance model
+          // runs just for the cells assessed. A non-degraded cell's
+          // stddev is the occupancy-exact model evaluated at n̂_c >= 1
+          // itself (no clamping), so the ratio is exactly the interval's
+          // own relative error.
+          if (cell.degraded) {
             ++tally.degraded;
             return;
           }
-          const double rel_err = cell.stddev / cell.n_c_hat;
+          const double rel_err =
+              matrix.interval(cell).stddev / cell.n_c_hat;
           if (!std::isfinite(rel_err)) {
             ++tally.degraded;
             return;

@@ -109,12 +109,14 @@ HealthSummary assess_rsus(std::span<const core::RsuState* const> states,
                           std::vector<RsuHealth>* out_per_rsu = nullptr);
 
 // Per-pair predicted relative error: for every measured pair of the
-// decoded matrix, reads stddev / n̂_c off the cell — the occupancy-exact
-// model the interval itself was built from, so health and intervals
-// share one variance model — and publishes the decode metric group.
-// Walks only measured cells. Degraded cells, zero estimates and
-// non-finite ratios count as degraded and are skipped, so
-// pairs_assessed + pairs_degraded grows by matrix.measured_pairs().
+// decoded matrix, reads stddev / n̂_c off the cell's interval — the
+// occupancy-exact model the interval itself is built from, so health and
+// intervals share one variance model — and publishes the decode metric
+// group. Walks only measured cells, and derives the interval only for
+// cells that are not degraded (IntervalEstimator::degraded, which also
+// rules out zero estimates). Degraded cells and non-finite ratios count
+// as degraded and are skipped, so pairs_assessed + pairs_degraded grows
+// by matrix.measured_pairs().
 // Extends `summary` in place. The cells are walked in fixed slices of
 // 4096 spread over `workers` threads (>= 1) and reduced in slice order,
 // so the summary is identical for every worker count.

@@ -146,8 +146,9 @@ class CentralServer {
   // period, in the order given by `matrix_order()` (ascending RsuId).
   // Needs >= 2 reports. Runs the batched decode pipeline and its
   // pair-health pass (both on config.decode_workers threads) over the
-  // stored states, without copying them, and records its throughput in
-  // stats().decode.
+  // stored states, without copying their arrays, and records its
+  // throughput in stats().decode. The matrix keeps its own copy of what
+  // its cells read, so it stays valid after the next begin_period.
   const std::vector<core::RsuId>& matrix_order() const { return ids_; }
   core::OdMatrix estimate_matrix(double z = 1.96) const;
 

@@ -687,5 +687,86 @@ TEST(OdMatrixPruned, StatsReportPhasesAndStorage) {
   }
 }
 
+// --- Derived cells ---
+
+// Decodes `states` twice: the default blocked decode and a pruned decode
+// that skips the pairs sharing no road.
+std::vector<OdMatrix> blocked_and_pruned(std::span<const RsuState> states) {
+  DecodeOptions pruned;
+  pruned.mode = DecodeMode::kPruned;
+  pruned.prune.sample_stride = 2;
+  pruned.prune.min_volume = 700.0;
+  std::vector<OdMatrix> matrices;
+  matrices.push_back(estimate_od_matrix(states, 2, 1.96, 3));
+  matrices.push_back(estimate_od_matrix(states, 2, 1.96, pruned));
+  return matrices;
+}
+
+// The matrix copies what its cells read (sizes, zero counts, counters
+// and the per-pair counts), so it stays whole after the states it was
+// decoded from are gone, as a server's are at its next begin_period.
+TEST(OdMatrix, DerivedCellsOutliveTheirStates) {
+  constexpr std::size_t kM = 1 << 13;
+  const Road roads[] = {{0, 5, kM / 8}, {2, 3, kM / 8}};
+  std::vector<RsuState> states = sparse_fleet(8, kM, roads, kM / 8, 0x0D1E);
+  const IntervalEstimator oracle(2, 1.96);
+  std::vector<EstimateInterval> expected;
+  for (std::size_t a = 0; a < states.size(); ++a) {
+    for (std::size_t b = a + 1; b < states.size(); ++b) {
+      expected.push_back(oracle.estimate(states[a], states[b]));
+    }
+  }
+  const std::vector<OdMatrix> matrices = blocked_and_pruned(states);
+  const std::size_t k = states.size();
+  states.clear();
+  states.shrink_to_fit();
+
+  for (const OdMatrix& matrix : matrices) {
+    std::size_t p = 0;
+    for (std::size_t a = 0; a < k; ++a) {
+      for (std::size_t b = a + 1; b < k; ++b, ++p) {
+        if (matrix.measured(a, b)) {
+          expect_cells_equal(matrix.at(a, b), expected[p], a, b);
+        } else {
+          expect_cells_equal(matrix.at(a, b), EstimateInterval{}, a, b);
+        }
+      }
+    }
+    std::size_t visited = 0;
+    matrix.for_each_measured([&](const OdMatrix::Cell& cell) {
+      ++visited;
+      expect_cells_equal(matrix.interval(cell), matrix.at(cell.a, cell.b),
+                         cell.a, cell.b);
+    });
+    EXPECT_EQ(visited, matrix.measured_pairs());
+  }
+}
+
+// total_estimated_common sums the walk's point estimates in storage
+// order: exactly the row-major sum of at(a, b).n_c_hat, on dense and
+// sparse storage alike, with pruned-away pairs adding nothing. The walk
+// hands over the same point estimate and degraded flag as at().
+TEST(OdMatrix, TotalEqualsSumOfCells) {
+  constexpr std::size_t kM = 1 << 13;
+  const Road roads[] = {{0, 9, kM / 8}, {3, 4, kM / 4}, {4, 7, kM / 16}};
+  const auto states = sparse_fleet(10, kM, roads, kM / 8, 0x5077);
+  for (const OdMatrix& matrix : blocked_and_pruned(states)) {
+    double sum = 0.0;
+    for (std::size_t a = 0; a < states.size(); ++a) {
+      for (std::size_t b = a + 1; b < states.size(); ++b) {
+        sum += matrix.at(a, b).n_c_hat;
+      }
+    }
+    EXPECT_GT(sum, 0.0);
+    EXPECT_EQ(matrix.total_estimated_common(), sum);
+    matrix.for_each_measured([&](const OdMatrix::Cell& cell) {
+      ASSERT_LT(cell.a, cell.b);
+      const EstimateInterval cell_at = matrix.at(cell.a, cell.b);
+      EXPECT_EQ(cell.n_c_hat, cell_at.n_c_hat);
+      EXPECT_EQ(cell.degraded, cell_at.degraded);
+    });
+  }
+}
+
 }  // namespace
 }  // namespace vlm::core

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/hashing.h"
+#include "core/interval.h"
 #include "core/od_matrix.h"
 #include "core/rsu_state.h"
 #include "obs/metrics.h"
@@ -321,6 +322,83 @@ TEST(HealthTest, PairSummaryDoesNotDependOnWorkerCount) {
               std::bit_cast<std::uint64_t>(serial.mean_predicted_rel_err))
         << workers;
   }
+}
+
+// Pair health reads derived cells: its degraded test needs Eq. 5 only,
+// and it derives σ just for the cells it assesses. On a fleet with
+// saturated, idle and sub-word RSUs and size ties, the summary must equal
+// a serial recount through the per-pair IntervalEstimator::estimate that
+// applies the documented rule itself: a cell is degraded when its MLE hit
+// the saturation floor, n̂_c < 1, n̂_c > min(n_x, n_y), or its ratio is
+// not finite.
+TEST(HealthTest, DerivedWalkMatchesPerPairRecount) {
+  // Ties at scattered positions, sub-word arrays of 8-32 bits, an idle
+  // RSU (counter 0) and a saturated one. Vehicles come from one pool and
+  // land on the same index modulo every power-of-two size, so pairs
+  // share traffic; loads run from a handful of vehicles to twice the
+  // array size. 23 RSUs: 253 cells, one walk slice.
+  const std::size_t sizes[] = {256,  8,   1024, 256, 64,  16,   4096, 1024,
+                               32,   512, 256,  128, 64,  2048, 512,  8,
+                               1024, 128, 256,  64,  32,  512};
+  std::uint64_t h = 0xDE7A11;
+  std::vector<core::RsuState> states;
+  for (const std::size_t m : sizes) {
+    core::RsuState state(m);
+    const std::size_t visits =
+        static_cast<std::size_t>(common::mix64(++h) % (2 * m + 1));
+    for (std::size_t i = 0; i < visits; ++i) {
+      const std::uint64_t vehicle = common::mix64(++h) % 3000;
+      state.record(static_cast<std::size_t>(common::mix64(vehicle) % m));
+    }
+    states.push_back(std::move(state));
+  }
+  states[4] = core::RsuState(64);  // idle
+  states.push_back(make_state(64, 2000, {}, h));  // saturated
+  ASSERT_EQ(states.back().zero_count(), 0u);
+
+  const core::IntervalEstimator oracle(2, 1.96);
+  std::size_t assessed = 0;
+  std::size_t degraded = 0;
+  std::size_t over_support = 0;
+  double sum = 0.0;
+  double max = 0.0;
+  for (std::size_t a = 0; a < states.size(); ++a) {
+    for (std::size_t b = a + 1; b < states.size(); ++b) {
+      core::PairEstimate point;
+      const core::EstimateInterval cell =
+          oracle.estimate(states[a], states[b], &point);
+      const bool a_small = states[a].array_size() <= states[b].array_size();
+      const double support = static_cast<double>(
+          std::min(states[a_small ? a : b].counter(),
+                   states[a_small ? b : a].counter()));
+      over_support += cell.n_c_hat > support && !point.saturated ? 1 : 0;
+      const double rel_err = cell.stddev / cell.n_c_hat;
+      if (point.saturated || cell.n_c_hat < 1.0 || cell.n_c_hat > support ||
+          !std::isfinite(rel_err)) {
+        ++degraded;
+        continue;
+      }
+      ++assessed;
+      sum += rel_err;
+      max = std::max(max, rel_err);
+    }
+  }
+  ASSERT_GT(assessed, 0u);
+  ASSERT_GT(over_support, 0u);
+
+  Histogram& hist = MetricsRegistry::global().histogram(
+      "health/predicted_rel_err", Unit::kMicro);
+  const HistogramSummary before = hist.summary();
+  const core::OdMatrix matrix = core::estimate_od_matrix(states, 2, 1.96, 3);
+  HealthSummary summary;
+  assess_pairs(matrix, summary, 3);
+  EXPECT_EQ(summary.pairs_assessed, assessed);
+  EXPECT_EQ(summary.pairs_degraded, degraded);
+  EXPECT_EQ(hist.summary().count - before.count, assessed);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(summary.max_predicted_rel_err),
+            std::bit_cast<std::uint64_t>(max));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(summary.mean_predicted_rel_err),
+            std::bit_cast<std::uint64_t>(sum / static_cast<double>(assessed)));
 }
 
 TEST(HealthTest, FormatSummaryMentionsPairsOnlyWhenAssessed) {

@@ -240,12 +240,21 @@ int main(int argc, char** argv) {
         std::size_t a, b;
         double estimate;
       };
+      // Every pair in row-major order, ranked by its point estimate: the
+      // walk visits the measured cells in the same order and runs Eq. 5
+      // only; pruned-away pairs keep their zero estimate.
       std::vector<Flow> flows;
+      flows.reserve(rsus.size() * (rsus.size() - 1) / 2);
       for (std::size_t a = 0; a < rsus.size(); ++a) {
         for (std::size_t b = a + 1; b < rsus.size(); ++b) {
-          flows.push_back(Flow{a, b, matrix.at(a, b).n_c_hat});
+          flows.push_back(Flow{a, b, 0.0});
         }
       }
+      auto cursor = flows.begin();
+      matrix.for_each_measured([&](const core::OdMatrix::Cell& cell) {
+        while (cursor->a != cell.a || cursor->b != cell.b) ++cursor;
+        cursor->estimate = cell.n_c_hat;
+      });
       std::sort(flows.begin(), flows.end(),
                 [](const Flow& x, const Flow& y) {
                   return x.estimate > y.estimate;
@@ -254,7 +263,7 @@ int main(int argc, char** argv) {
           flows.size(), static_cast<std::size_t>(parser.get_int("top")));
       common::TextTable table({"pair", "estimate", "interval"});
       for (std::size_t i = 0; i < top; ++i) {
-        const auto& e = matrix.at(flows[i].a, flows[i].b);
+        const core::EstimateInterval e = matrix.at(flows[i].a, flows[i].b);
         table.add_row(
             {"(" + std::to_string(rsus[flows[i].a].id.value) + ", " +
                  std::to_string(rsus[flows[i].b].id.value) + ")",
@@ -272,7 +281,7 @@ int main(int argc, char** argv) {
                               {"rsu_a", "rsu_b", "estimate", "lower", "upper",
                                "stddev", "degraded", "measured"});
         for (const Flow& flow : flows) {
-          const auto& e = matrix.at(flow.a, flow.b);
+          const core::EstimateInterval e = matrix.at(flow.a, flow.b);
           csv.add_row({std::to_string(rsus[flow.a].id.value),
                        std::to_string(rsus[flow.b].id.value),
                        common::TextTable::fmt(e.n_c_hat, 2),
